@@ -324,12 +324,12 @@ let make_engine ?obs platform pm (cfg : Config.t) hooks root =
     invalid_arg
       (Printf.sprintf "Dipper: device too small (%d < %d)" (Pmem.size pm)
          lay.total);
-  let raw = Bytes.make cfg.space_bytes '\000' in
+  let raw = Bytes.make lay.space_bytes '\000' in
   let cow =
     {
       active = false;
       marked_pages = 0;
-      ro = Bytes.make (cfg.space_bytes / page_bytes) '\000';
+      ro = Bytes.make (lay.space_bytes / page_bytes) '\000';
       remaining = 0;
       target_off = 0;
       sem = platform.Platform.new_sem 1;

@@ -1,5 +1,4 @@
 open Dstore_platform
-open Dstore_pmem
 open Dstore_ssd
 open Dstore_memory
 open Dstore_structs
@@ -440,7 +439,10 @@ let read_data ?(span = Span.none) t extents buf size =
   if size > 0 then begin
     let ps = page_size t in
     let nblocks = blocks_for t size in
-    let scratch = Bytes.create (nblocks * ps) in
+    (* A whole number of pages lands straight in [buf]; otherwise the last
+       page's tail would overrun [size], so read through a scratch copy. *)
+    let direct = size = nblocks * ps in
+    let scratch = if direct then buf else Bytes.create (nblocks * ps) in
     let pos = ref 0 in
     List.iter
       (fun (start, len) ->
@@ -450,7 +452,7 @@ let read_data ?(span = Span.none) t extents buf size =
           pos := !pos + len
         end)
       extents;
-    Bytes.blit scratch 0 buf 0 size
+    if not direct then Bytes.blit scratch 0 buf 0 size
   end
 
 (* --- allocation helpers (run under the frontend lock) ------------------------- *)
@@ -480,22 +482,6 @@ let release_freed t freed_meta freed_extents =
             done)
           freed_extents;
         if freed_meta >= 0 then Bitpool.free t.h.metapool freed_meta)
-
-(* Worst-case record size, computable before taking the lock. *)
-let put_max_slots key nblocks =
-  let worst =
-    Logrec.Put
-      {
-        key;
-        size = 0;
-        meta = 0;
-        extents = List.init (max nblocks 1) (fun i -> (i * 2, 1));
-        freed_meta = 0;
-        freed_extents =
-          List.init (max nblocks 1 + 4) (fun i -> (i * 2, 1));
-      }
-  in
-  Logrec.slots_needed worst
 
 let now t = t.platform.Platform.now ()
 
@@ -578,7 +564,7 @@ let oput_logical ctx t span key value size =
   (* Steps 1-5: lock, find the binding being replaced, allocate, log. *)
   let ticket =
     Dipper.locked_append ?ignore_ticket ~span t.engine ~key
-      ~max_slots:(put_max_slots key nblocks)
+      ~max_slots:(Logrec.put_max_slots key nblocks)
       (fun () ->
         let freed_meta, freed_extents =
           match Btree.find t.h.btree key with
@@ -866,7 +852,7 @@ let odelete ?span:caller_span ctx key =
   let ticket =
     Dipper.locked_append
       ?ignore_ticket:(own_lock ctx key)
-      ~span t.engine ~key ~max_slots:(put_max_slots key 1)
+      ~span t.engine ~key ~max_slots:(Logrec.put_max_slots key 1)
       (fun () ->
         match Btree.find t.h.btree key with
         | None -> Logrec.Noop { key }
@@ -909,8 +895,8 @@ let batch_key = function Bput (k, _) -> k | Bdelete k -> k
 let split_batches t ops =
   let max_batch_slots = max 8 (t.cfg.Config.log_slots / 2) in
   let slots_of = function
-    | Bput (k, v) -> put_max_slots k (blocks_for t (Bytes.length v))
-    | Bdelete k -> put_max_slots k 1
+    | Bput (k, v) -> Logrec.put_max_slots k (blocks_for t (Bytes.length v))
+    | Bdelete k -> Logrec.put_max_slots k 1
   in
   let out = ref [] and cur = ref [] and cur_slots = ref 0 in
   let seen = Hashtbl.create 16 in
@@ -1009,7 +995,7 @@ let exec_sub_batch ctx t span ops =
         | Bput (key, value), Some (meta, extents) ->
             let size = Bytes.length value in
             ( key,
-              put_max_slots key (blocks_for t size),
+              Logrec.put_max_slots key (blocks_for t size),
               fun () ->
                 let freed_meta, freed_extents =
                   match Btree.find t.h.btree key with
@@ -1023,7 +1009,7 @@ let exec_sub_batch ctx t span ops =
             )
         | Bdelete key, _ ->
             ( key,
-              put_max_slots key 1,
+              Logrec.put_max_slots key 1,
               fun () ->
                 match Btree.find t.h.btree key with
                 | None -> Logrec.Noop { key }
@@ -1273,7 +1259,7 @@ let owrite ?span:caller_span o buf ~size ~off =
       Dipper.locked_append
         ?ignore_ticket:(own_lock o.octx name)
         ~span t.engine ~key:name
-        ~max_slots:(put_max_slots name (blocks_for t size + 1))
+        ~max_slots:(Logrec.put_max_slots name (blocks_for t size + 1))
         (fun () ->
           let meta =
             match Btree.find t.h.btree name with
@@ -1469,7 +1455,7 @@ let txn_commit_writes ?(span = Span.none) ctx ~reads ~writes =
             | Tput (key, value), Some (meta, extents) ->
                 let size = Bytes.length value in
                 ( key,
-                  put_max_slots key (blocks_for t size),
+                  Logrec.put_max_slots key (blocks_for t size),
                   fun () ->
                     let freed_meta, freed_extents =
                       match Btree.find t.h.btree key with
@@ -1483,7 +1469,7 @@ let txn_commit_writes ?(span = Span.none) ctx ~reads ~writes =
                       { key; size; meta; extents; freed_meta; freed_extents } )
             | Tdelete key, _ ->
                 ( key,
-                  put_max_slots key 1,
+                  Logrec.put_max_slots key 1,
                   fun () ->
                     match Btree.find t.h.btree key with
                     | None -> Logrec.Noop { key }

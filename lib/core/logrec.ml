@@ -37,67 +37,118 @@ let tag_of_op = function
   | Txn_begin _ -> 7
   | Txn_commit _ -> 8
 
-(* --- little-endian append helpers on Buffer --- *)
+(* --- sizing --- *)
 
-let add_u16 buf v =
-  Buffer.add_char buf (Char.chr (v land 0xff));
-  Buffer.add_char buf (Char.chr ((v lsr 8) land 0xff))
+(* Field widths of the payload encoding: strings carry a u16 length,
+   extent lists a u16 count and (u32, u32) per extent. *)
+let str_bytes s = 2 + String.length s
 
-let add_u32 buf v =
-  add_u16 buf (v land 0xffff);
-  add_u16 buf ((v lsr 16) land 0xffff)
+let extents_bytes n = 2 + (8 * n)
 
-let add_u64 buf v =
-  add_u32 buf (v land 0xFFFFFFFF);
-  add_u32 buf ((v lsr 32) land 0x7FFFFFFF)
+let put_payload_bytes ~key_len ~extents ~freed_extents =
+  2 + key_len + 8 + 4 + extents_bytes extents + 4 + extents_bytes freed_extents
 
-let add_str buf s =
-  add_u16 buf (String.length s);
-  Buffer.add_string buf s
+let payload_bytes = function
+  | Put { key; extents; freed_extents; _ } ->
+      put_payload_bytes ~key_len:(String.length key)
+        ~extents:(List.length extents)
+        ~freed_extents:(List.length freed_extents)
+  | Create { key; _ } -> str_bytes key + 4
+  | Write { key; new_extents; _ } ->
+      str_bytes key + 4 + 8 + extents_bytes (List.length new_extents)
+  | Delete { key; extents; _ } ->
+      str_bytes key + 4 + extents_bytes (List.length extents)
+  | Noop { key } -> str_bytes key
+  | Phys { images } ->
+      List.fold_left (fun acc (_, bytes) -> acc + 8 + str_bytes bytes) 2 images
+  | Txn_begin _ -> 8 + 2
+  | Txn_commit _ -> 8
 
-let add_extents buf extents =
-  add_u16 buf (List.length extents);
+let record_bytes op = header_bytes + payload_bytes op
+
+let slots_of_bytes n = (n + slot_bytes - 1) / slot_bytes
+
+let slots_needed op = slots_of_bytes (record_bytes op)
+
+(* The worst-case Put an object of [nblocks] blocks can log: one extent
+   per block, and up to [nblocks + 4] freed extents from the overwritten
+   version (extents are counted, not valued, so this is exact). *)
+let put_max_slots key nblocks =
+  let n = max nblocks 1 in
+  slots_of_bytes
+    (header_bytes
+    + put_payload_bytes ~key_len:(String.length key) ~extents:n
+        ~freed_extents:(n + 4))
+
+(* --- encoding: little-endian stores at a moving position --- *)
+
+type writer = { w : Bytes.t; mutable at : int }
+
+let put_u16 c v =
+  Bytes.set_uint16_le c.w c.at (v land 0xffff);
+  c.at <- c.at + 2
+
+let put_u32 c v =
+  Bytes.set_int32_le c.w c.at (Int32.of_int (v land 0xFFFFFFFF));
+  c.at <- c.at + 4
+
+let put_u64 c v =
+  (* 63-bit value, bit 63 clear *)
+  Bytes.set_int64_le c.w c.at (Int64.logand (Int64.of_int v) Int64.max_int);
+  c.at <- c.at + 8
+
+let put_str c s =
+  put_u16 c (String.length s);
+  Bytes.blit_string s 0 c.w c.at (String.length s);
+  c.at <- c.at + String.length s
+
+let put_extents c extents =
+  put_u16 c (List.length extents);
   List.iter
     (fun (start, len) ->
-      add_u32 buf start;
-      add_u32 buf len)
+      put_u32 c start;
+      put_u32 c len)
     extents
 
-let encode_payload op =
-  let buf = Buffer.create 64 in
-  (match op with
+let encode_into op b ~pos =
+  let c = { w = b; at = pos } in
+  match op with
   | Put { key; size; meta; extents; freed_meta; freed_extents } ->
-      add_str buf key;
-      add_u64 buf size;
-      add_u32 buf meta;
-      add_extents buf extents;
-      add_u32 buf (if freed_meta < 0 then 0xFFFFFFFF else freed_meta);
-      add_extents buf freed_extents
+      put_str c key;
+      put_u64 c size;
+      put_u32 c meta;
+      put_extents c extents;
+      put_u32 c (if freed_meta < 0 then 0xFFFFFFFF else freed_meta);
+      put_extents c freed_extents
   | Create { key; meta } ->
-      add_str buf key;
-      add_u32 buf meta
+      put_str c key;
+      put_u32 c meta
   | Write { key; meta; size; new_extents } ->
-      add_str buf key;
-      add_u32 buf meta;
-      add_u64 buf size;
-      add_extents buf new_extents
+      put_str c key;
+      put_u32 c meta;
+      put_u64 c size;
+      put_extents c new_extents
   | Delete { key; meta; extents } ->
-      add_str buf key;
-      add_u32 buf meta;
-      add_extents buf extents
-  | Noop { key } -> add_str buf key
+      put_str c key;
+      put_u32 c meta;
+      put_extents c extents
+  | Noop { key } -> put_str c key
   | Phys { images } ->
-      add_u16 buf (List.length images);
+      put_u16 c (List.length images);
       List.iter
         (fun (off, bytes) ->
-          add_u64 buf off;
-          add_str buf bytes)
+          put_u64 c off;
+          put_str c bytes)
         images
   | Txn_begin { txn; members } ->
-      add_u64 buf txn;
-      add_u16 buf members
-  | Txn_commit { txn } -> add_u64 buf txn);
-  Buffer.to_bytes buf
+      put_u64 c txn;
+      put_u16 c members
+  | Txn_commit { txn } -> put_u64 c txn
+
+let encode_payload op =
+  let b = Bytes.create (payload_bytes op) in
+  encode_into op b ~pos:0;
+  b
 
 (* --- decoding --- *)
 
@@ -132,8 +183,8 @@ let get_extents c =
       let len = get_u32 c in
       (start, len))
 
-let decode_payload ~tag b =
-  let c = { b; pos = 0 } in
+let decode_at ~tag b ~pos =
+  let c = { b; pos } in
   try
     match tag with
     | 1 ->
@@ -178,8 +229,4 @@ let decode_payload ~tag b =
     | t -> failwith (Printf.sprintf "Logrec: unknown op tag %d" t)
   with Invalid_argument _ -> failwith "Logrec: truncated payload"
 
-let record_bytes op = header_bytes + Bytes.length (encode_payload op)
-
-let slots_needed op =
-  let total = record_bytes op in
-  (total + slot_bytes - 1) / slot_bytes
+let decode_payload ~tag b = decode_at ~tag b ~pos:0

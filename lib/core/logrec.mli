@@ -62,12 +62,24 @@ val header_bytes : int
 val slot_bytes : int
 (** 64. *)
 
+val payload_bytes : op -> int
+(** Length of the encoded payload, computed from the field widths without
+    encoding. *)
+
+val encode_into : op -> Bytes.t -> pos:int -> unit
+(** Serialize the operation (without the record header) into
+    [\[pos, pos + payload_bytes op)]. *)
+
 val encode_payload : op -> Bytes.t
-(** Serialize the operation (without the record header). *)
+(** [encode_into] a fresh buffer of exactly [payload_bytes op] bytes. *)
+
+val decode_at : tag:int -> Bytes.t -> pos:int -> op
+(** Decode a payload starting at [pos]; it may extend to the end of the
+    buffer. [tag] comes from the header. Raises [Failure] on malformed
+    input. *)
 
 val decode_payload : tag:int -> Bytes.t -> op
-(** Inverse of [encode_payload]; [tag] comes from the header.
-    Raises [Failure] on malformed input. *)
+(** [decode_at ~pos:0]: the inverse of [encode_payload]. *)
 
 val tag_of_op : op -> int
 
@@ -77,3 +89,9 @@ val slots_needed : op -> int
 val record_bytes : op -> int
 (** Header + payload size (before slot rounding) — the paper's "32 B plus
     the object name" claim is checked against this in tests. *)
+
+val put_max_slots : string -> int -> int
+(** [put_max_slots key nblocks]: slots of the largest [Put] of [key] an
+    object of [nblocks] blocks can log (one extent per block, up to
+    [nblocks + 4] freed extents), computable before the extents are
+    allocated. *)

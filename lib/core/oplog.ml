@@ -86,16 +86,13 @@ let reserve t n =
    The CRC covers lsn, len, op and payload — everything except the commit
    word and the CRC itself. *)
 let build_record ~lsn op =
-  let payload = Logrec.encode_payload op in
-  let len_slots =
-    (Logrec.header_bytes + Bytes.length payload + slot_bytes - 1) / slot_bytes
-  in
+  let len_slots = Logrec.slots_needed op in
   let img = Bytes.make (len_slots * slot_bytes) '\000' in
   Bytes.set_int64_le img 0 (Int64.of_int lsn);
   (* commit word at 8 stays 0 *)
   Bytes.set_uint16_le img 16 len_slots;
   Bytes.set_uint8 img 18 (Logrec.tag_of_op op);
-  Bytes.blit payload 0 img Logrec.header_bytes (Bytes.length payload);
+  Logrec.encode_into op img ~pos:Logrec.header_bytes;
   let crc =
     Checksum.crc32c img ~pos:0 ~len:8
     |> fun c ->
@@ -117,7 +114,7 @@ let record_crc t ~slot ~len_slots =
     |> fun c ->
     Checksum.crc32c ~init:c img ~pos:16 ~len:(Bytes.length img - 16)
   in
-  (stored, crc)
+  (stored, crc, img)
 
 let write_record t ~slot ~lsn op =
   count t.ctr (fun c -> c.c_appends);
@@ -233,16 +230,11 @@ let probe t s =
     let len_slots = Pmem.get_u16 t.pm (base_off + 16) in
     if len_slots < 1 || s + len_slots > t.slots then None
     else begin
-      let stored, crc = record_crc t ~slot:s ~len_slots in
+      let stored, crc, img = record_crc t ~slot:s ~len_slots in
       if stored <> crc then None
       else begin
-        let tag = Pmem.get_u8 t.pm (base_off + 18) in
-        let payload_len = (len_slots * slot_bytes) - Logrec.header_bytes in
-        let payload = Bytes.create payload_len in
-        Pmem.blit_to_bytes t.pm
-          ~src:(base_off + Logrec.header_bytes)
-          payload ~dst:0 ~len:payload_len;
-        match Logrec.decode_payload ~tag payload with
+        let tag = Bytes.get_uint8 img 18 in
+        match Logrec.decode_at ~tag img ~pos:Logrec.header_bytes with
         | op ->
             let committed = Pmem.get_u64 t.pm (base_off + 8) = 1 in
             Some ({ lsn; slot = s; committed; op }, len_slots)

@@ -16,6 +16,8 @@ type t = {
   fill : int -> int -> int -> unit;
   persist : int -> int -> unit;
   is_persistent : bool;
+  raw : Bytes.t;
+  raw_off : int;
 }
 
 let bounds size off len =
@@ -43,6 +45,8 @@ let of_bytes b =
     fill = (fun off len byte -> chk off len; Bytes.fill b off len (Char.chr (byte land 0xff)));
     persist = (fun off len -> chk off len);
     is_persistent = false;
+    raw = b;
+    raw_off = 0;
   }
 
 let dram n = of_bytes (Bytes.make n '\000')
@@ -69,6 +73,8 @@ let of_pmem pm ~off ~len =
     fill = (fun o l byte -> chk o l; Pmem.fill pm (off + o) l byte);
     persist = (fun o l -> chk o l; Pmem.persist pm (off + o) l);
     is_persistent = true;
+    raw = Pmem.unsafe_data pm;
+    raw_off = off;
   }
 
 let sub t ~off ~len =
@@ -93,6 +99,8 @@ let sub t ~off ~len =
     fill = (fun o l byte -> chk o l; t.fill (off + o) l byte);
     persist = (fun o l -> chk o l; t.persist (off + o) l);
     is_persistent = t.is_persistent;
+    raw = t.raw;
+    raw_off = t.raw_off + off;
   }
 
 (* Write-tracking view: every mutating access reports its byte range to
@@ -112,27 +120,36 @@ let tracked base ~note =
     fill = (fun off len v -> note off len; base.fill off len v);
   }
 
-let copy_chunk = 1 lsl 20
+(* Compare [len] bytes at [off] with [s], straight from the backing
+   buffer: one bounds check, then a plain byte loop. *)
+let compare_string t ~off ~len s =
+  bounds t.size off len;
+  let b = t.raw and base = t.raw_off + off in
+  let slen = String.length s in
+  let n = if len < slen then len else slen in
+  let i = ref 0 in
+  while !i < n && Bytes.unsafe_get b (base + !i) = String.unsafe_get s !i do
+    incr i
+  done;
+  if !i < n then
+    compare (Char.code (Bytes.unsafe_get b (base + !i))) (Char.code (String.unsafe_get s !i))
+  else compare len slen
+
+(* [len] bytes at [off] of [src] into the same offset of [dst], read
+   straight from [src]'s backing buffer and written through [dst]'s own
+   write path (so write tracking and undo capture still see every byte). *)
+let copy_range ~src ~dst ~off ~len =
+  bounds src.size off len;
+  dst.blit_from_bytes src.raw ~src:(src.raw_off + off) ~dst:off ~len
 
 (* Copy every page [p] with [is_dirty p] from [src] into the same offset of
-   [dst], coalescing adjacent dirty pages into single runs (bounce-buffered
-   in <= 1 MB chunks, like Space.copy_into). Only pages starting below
-   [limit] are candidates; the final run is clipped to the arena size.
-   Returns the bytes copied. *)
+   [dst], coalescing adjacent dirty pages into single runs. Only pages
+   starting below [limit] are candidates; the final run is clipped to the
+   arena size. Returns the bytes copied. *)
 let copy_pages ~src ~dst ~page_bytes ~is_dirty ~limit =
   if page_bytes <= 0 then invalid_arg "Mem.copy_pages: page_bytes <= 0";
   let limit = min limit (min src.size dst.size) in
   let npages = (limit + page_bytes - 1) / page_bytes in
-  let buf = Bytes.create (min copy_chunk (max page_bytes src.size)) in
-  let copy_run off len =
-    let pos = ref 0 in
-    while !pos < len do
-      let l = min (Bytes.length buf) (len - !pos) in
-      src.blit_to_bytes ~src:(off + !pos) buf ~dst:0 ~len:l;
-      dst.blit_from_bytes buf ~src:0 ~dst:(off + !pos) ~len:l;
-      pos := !pos + l
-    done
-  in
   let copied = ref 0 in
   let p = ref 0 in
   while !p < npages do
@@ -141,7 +158,7 @@ let copy_pages ~src ~dst ~page_bytes ~is_dirty ~limit =
       while !q + 1 < npages && is_dirty (!q + 1) do incr q done;
       let off = !p * page_bytes in
       let len = min (((!q + 1) * page_bytes) - off) (src.size - off) in
-      copy_run off len;
+      copy_range ~src ~dst ~off ~len;
       copied := !copied + len;
       p := !q + 1
     end

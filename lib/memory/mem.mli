@@ -28,6 +28,10 @@ type t = {
   fill : int -> int -> int -> unit;  (** [fill off len byte] *)
   persist : int -> int -> unit;  (** [persist off len]: no-op on DRAM. *)
   is_persistent : bool;
+  raw : Bytes.t;
+      (** Backing buffer (the DRAM bytes or the PMEM device's data), for
+          read-only fast paths; never write it directly. *)
+  raw_off : int;  (** Offset of the arena's byte 0 within [raw]. *)
 }
 
 val of_bytes : Bytes.t -> t
@@ -50,6 +54,17 @@ val tracked : t -> note:(int -> int -> unit) -> t
     which parts of a shadow space a log replay dirtied — the structures
     (B-tree, bitmap pools, metadata zone) all write through the space's
     [Mem.t], so wrapping here covers them without touching their code. *)
+
+val compare_string : t -> off:int -> len:int -> string -> int
+(** [compare_string t ~off ~len s] compares the [len] stored bytes at [off]
+    with [s] lexicographically (bytes unsigned, a proper prefix sorts
+    first): negative, zero or positive. One bounds check, then a loop over
+    the backing buffer; allocation-free and side-effect-free. *)
+
+val copy_range : src:t -> dst:t -> off:int -> len:int -> unit
+(** Copy [len] bytes at [off] from [src] to the same offset in [dst],
+    reading [src]'s backing buffer directly and writing through [dst]'s
+    write path. Device time is not charged. *)
 
 val copy_pages :
   src:t -> dst:t -> page_bytes:int -> is_dirty:(int -> bool) -> limit:int -> int

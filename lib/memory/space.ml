@@ -136,19 +136,10 @@ let set_root t slot v =
 
 let persist_used t = t.mem.Mem.persist 0 (used t)
 
-let chunk = 1 lsl 20
-
 let copy_into src dst_mem =
   let n = used src in
   if n > dst_mem.Mem.size then raise Out_of_space;
-  let buf = Bytes.create (min chunk n) in
-  let pos = ref 0 in
-  while !pos < n do
-    let len = min chunk (n - !pos) in
-    src.mem.Mem.blit_to_bytes ~src:!pos buf ~dst:0 ~len;
-    dst_mem.Mem.blit_from_bytes buf ~src:0 ~dst:!pos ~len;
-    pos := !pos + len
-  done;
+  Mem.copy_range ~src:src.mem ~dst:dst_mem ~off:0 ~len:n;
   attach dst_mem
 
 (* Incremental variant of [copy_into] for ping-pong checkpoint targets.

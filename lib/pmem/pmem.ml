@@ -86,13 +86,40 @@ let default_config =
     share = None;
   }
 
+(* Undo images for the crash model. [slot_of] maps every line of the
+   device to 0 (clean) or [s + 1] (dirty, last durable content saved in
+   image slot [s]). Images live in fixed chunks of [chunk_lines] 64 B
+   slots; a flushed line's slot goes on a free stack and is reused by the
+   next newly dirty line, so steady-state dirty/flush traffic allocates
+   nothing. [owner] maps a slot back to its line (-1 when free) so a crash
+   can find the dirty lines without sweeping the whole table. *)
+let chunk_lines = 1024 (* 64 KiB of images per chunk *)
+
+let chunk_shift = 10
+
+(* Chunks kept when the device goes clean (1 MiB of images): enough for a
+   checkpoint's clone + replay dirty set, so back-to-back checkpoints reuse
+   the same chunks instead of churning 64 KiB blocks through the major
+   heap. *)
+let kept_chunks = 16
+
+type undo = {
+  slot_of : Bytes.t;  (* int32 per line *)
+  mutable chunks : Bytes.t array;
+  mutable nchunks : int;
+  mutable owner : int array;
+  mutable free : int array;  (* stack of released slots *)
+  mutable nfree : int;
+  mutable fresh : int;  (* slots [fresh, nchunks * chunk_lines) never handed out *)
+  mutable ndirty : int;
+}
+
 type t = {
   cfg : config;
   platform : Platform.t;
   data : Bytes.t;
-  (* line index -> last durable content of that line (undo image) *)
-  dirty : (int, Bytes.t) Hashtbl.t;
-  guard : Mutex.t;  (* protects [dirty] under the real platform *)
+  undo : undo;
+  guard : Mutex.t;  (* protects [undo] under the real platform *)
   st : stats;
   mutable obs : Dstore_obs.Obs.t option;
   mutable persist_events : int;
@@ -106,7 +133,18 @@ let create platform cfg =
     cfg;
     platform;
     data = Bytes.make cfg.size '\000';
-    dirty = Hashtbl.create 4096;
+    undo =
+      {
+        slot_of =
+          Bytes.make (if cfg.crash_model then 4 * (cfg.size / line_size) else 0) '\000';
+        chunks = [||];
+        nchunks = 0;
+        owner = [||];
+        free = [||];
+        nfree = 0;
+        fresh = 0;
+        ndirty = 0;
+      };
     guard = Mutex.create ();
     st =
       {
@@ -123,6 +161,8 @@ let create platform cfg =
   }
 
 let size t = t.cfg.size
+
+let unsafe_data t = t.data
 
 let persist_events t = t.persist_events
 
@@ -202,7 +242,7 @@ let bulk_busy_ns t =
 
 let dirty_lines_unlocked t =
   Mutex.lock t.guard;
-  let n = Hashtbl.length t.dirty in
+  let n = t.undo.ndirty in
   Mutex.unlock t.guard;
   n
 
@@ -231,22 +271,96 @@ let attach_obs t obs =
       M.gauge_fn m "pmem.bw_contended_extra_ns" (fun () ->
           Bw.contended_extra_ns d)
 
+(* --- undo slot table (callers hold [guard]) --- *)
+
+let slot_get u l = Int32.to_int (Bytes.get_int32_le u.slot_of (l lsl 2))
+
+let slot_set u l v = Bytes.set_int32_le u.slot_of (l lsl 2) (Int32.of_int v)
+
+let grow_arrays u n =
+  let owner = Array.make n (-1) and free = Array.make n 0 in
+  Array.blit u.owner 0 owner 0 (min n (Array.length u.owner));
+  Array.blit u.free 0 free 0 (min u.nfree n);
+  u.owner <- owner;
+  u.free <- free
+
+let add_chunk u =
+  if u.nchunks = Array.length u.chunks then begin
+    let chunks = Array.make (max kept_chunks (2 * u.nchunks)) Bytes.empty in
+    Array.blit u.chunks 0 chunks 0 u.nchunks;
+    u.chunks <- chunks
+  end;
+  u.chunks.(u.nchunks) <- Bytes.create (chunk_lines * line_size);
+  u.nchunks <- u.nchunks + 1;
+  if u.nchunks * chunk_lines > Array.length u.owner then
+    grow_arrays u (max (u.nchunks * chunk_lines) (2 * Array.length u.owner))
+
+let take_slot u =
+  if u.nfree > 0 then begin
+    u.nfree <- u.nfree - 1;
+    u.free.(u.nfree)
+  end
+  else begin
+    if u.fresh = u.nchunks * chunk_lines then add_chunk u;
+    let s = u.fresh in
+    u.fresh <- s + 1;
+    s
+  end
+
+(* The device is clean: forget every slot and keep at most [kept_chunks]
+   chunks for the next dirty epoch. *)
+let reset_pool u =
+  u.nfree <- 0;
+  u.fresh <- 0;
+  if u.nchunks > kept_chunks then begin
+    u.chunks <- Array.sub u.chunks 0 kept_chunks;
+    u.nchunks <- kept_chunks;
+    u.owner <- [||];
+    u.free <- [||];
+    grow_arrays u (kept_chunks * chunk_lines)
+  end
+
+let release_line u l =
+  let s = slot_get u l - 1 in
+  if s >= 0 then begin
+    slot_set u l 0;
+    u.owner.(s) <- -1;
+    u.free.(u.nfree) <- s;
+    u.nfree <- u.nfree + 1;
+    u.ndirty <- u.ndirty - 1;
+    if u.ndirty = 0 then reset_pool u
+  end
+
+(* Slot [s]'s image: chunk [image_chunk u s], at byte [image_off s]. *)
+let image_chunk u s = u.chunks.(s lsr chunk_shift)
+
+let image_off s = (s land (chunk_lines - 1)) lsl line_shift
+
 (* Record undo images for every line intersecting [off, off+len) that is
    not already dirty. Must run before the store mutates [data]. *)
 let note_write t off len =
   t.st.bytes_written <- t.st.bytes_written + len;
-  if t.cfg.crash_model then begin
+  if t.cfg.crash_model && len > 0 then begin
+    let u = t.undo in
     let first = off lsr line_shift and last = (off + len - 1) lsr line_shift in
     Mutex.lock t.guard;
     for l = first to last do
-      if not (Hashtbl.mem t.dirty l) then begin
-        let undo = Bytes.create line_size in
-        Bytes.blit t.data (l lsl line_shift) undo 0 line_size;
-        Hashtbl.add t.dirty l undo
+      if slot_get u l = 0 then begin
+        let s = take_slot u in
+        Bytes.blit t.data (l lsl line_shift) (image_chunk u s) (image_off s) line_size;
+        slot_set u l (s + 1);
+        u.owner.(s) <- l;
+        u.ndirty <- u.ndirty + 1
       end
     done;
     Mutex.unlock t.guard
   end
+
+let undo_pool_bytes t =
+  Mutex.lock t.guard;
+  let n = t.undo.nchunks * chunk_lines * line_size in
+  Mutex.unlock t.guard;
+  n
 
 let check t off len =
   if off < 0 || len < 0 || off + len > t.cfg.size then
@@ -317,9 +431,10 @@ let flush t off len =
     let nlines = last - first + 1 in
     if t.cfg.crash_model then begin
       Mutex.lock t.guard;
-      for l = first to last do
-        Hashtbl.remove t.dirty l
-      done;
+      if t.undo.ndirty > 0 then
+        for l = first to last do
+          release_line t.undo l
+        done;
       Mutex.unlock t.guard
     end;
     t.st.flush_calls <- t.st.flush_calls + 1;
@@ -358,24 +473,40 @@ let crash t mode =
   | Some o -> Dstore_obs.Trace.emit o.Dstore_obs.Obs.trace Dstore_obs.Trace.Crash_injected
   | None -> ());
   Mutex.lock t.guard;
-  let resolve l undo =
+  let u = t.undo in
+  let resolve l =
     let base = l lsl line_shift in
+    let s = slot_get u l - 1 in
+    let img = image_chunk u s and ioff = image_off s in
+    slot_set u l 0;
     match mode with
     | Keep_all -> ()
-    | Drop_all -> Bytes.blit undo 0 t.data base line_size
+    | Drop_all -> Bytes.blit img ioff t.data base line_size
     | Random rng -> (
         match Rng.int rng 3 with
         | 0 -> () (* spurious eviction persisted the whole line *)
-        | 1 -> Bytes.blit undo 0 t.data base line_size
+        | 1 -> Bytes.blit img ioff t.data base line_size
         | _ ->
             (* Partial persistence at 8-byte-word granularity. *)
             for w = 0 to (line_size / 8) - 1 do
               if Rng.bool rng then
-                Bytes.blit undo (w * 8) t.data (base + (w * 8)) 8
+                Bytes.blit img (ioff + (w * 8)) t.data (base + (w * 8)) 8
             done)
   in
-  Hashtbl.iter resolve t.dirty;
-  Hashtbl.reset t.dirty;
+  (* Ascending line order, so a [Random] crash is a function of the seed
+     and the dirty set alone. *)
+  let lines = Array.make u.ndirty 0 and n = ref 0 in
+  for s = 0 to u.fresh - 1 do
+    if u.owner.(s) >= 0 then begin
+      lines.(!n) <- u.owner.(s);
+      u.owner.(s) <- -1;
+      incr n
+    end
+  done;
+  Array.sort Int.compare lines;
+  Array.iter resolve lines;
+  u.ndirty <- 0;
+  reset_pool u;
   Mutex.unlock t.guard
 
 let dirty_lines = dirty_lines_unlocked

@@ -83,6 +83,11 @@ val size : t -> int
 val line_size : int
 (** 64 bytes. *)
 
+val unsafe_data : t -> Bytes.t
+(** The device's backing buffer, for read-only fast paths (key compares,
+    copies out of an arena). Reads have no side effects on the model;
+    writing it directly would bypass the crash model and the counters. *)
+
 (** {1 CPU accessors (cached, not persistent until flushed)} *)
 
 val get_u8 : t -> int -> int
@@ -173,12 +178,19 @@ type crash_mode =
           persists a random subset of its 8-byte words. *)
 
 val crash : t -> crash_mode -> unit
-(** Apply the crash model: resolve every dirty line per [crash_mode] and
-    mark the device clean. The caller then discards all volatile state and
-    runs recovery against the surviving bytes. *)
+(** Apply the crash model: resolve every dirty line per [crash_mode], in
+    ascending line order, and mark the device clean. The caller then
+    discards all volatile state and runs recovery against the surviving
+    bytes. *)
 
 val dirty_lines : t -> int
 (** Number of lines currently dirty (written and not yet persisted). *)
+
+val undo_pool_bytes : t -> int
+(** Bytes of undo-image storage the crash model currently holds. Images
+    sit in a line-indexed slot table backed by 64 KiB chunks; a flushed
+    line's slot is reused by the next newly dirty line, and when the
+    device goes clean the pool shrinks back to at most 16 chunks (1 MiB). *)
 
 (** {1 Statistics} *)
 

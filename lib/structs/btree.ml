@@ -85,15 +85,7 @@ let read_key t koff klen = Mem.read_string (m t) ~off:koff ~len:klen
 (* Compare the stored key at (koff, klen) with [key]; negative if stored
    key is smaller. Allocation-free. *)
 let cmp_stored t koff klen (key : string) =
-  let mem_ = m t in
-  let n = min klen (String.length key) in
-  let rec go i =
-    if i = n then compare klen (String.length key)
-    else
-      let a = mem_.Mem.get_u8 (koff + i) and b = Char.code (String.unsafe_get key i) in
-      if a <> b then compare a b else go (i + 1)
-  in
-  go 0
+  Mem.compare_string (m t) ~off:koff ~len:klen key
 
 (* Binary search in node [n] for [key]. Returns [Found i] or [Insert i]
    (the slot where the key would go). *)

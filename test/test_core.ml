@@ -121,6 +121,139 @@ let prop_logrec_roundtrip =
          in
          Logrec.decode_payload ~tag:1 (Logrec.encode_payload op) = op))
 
+(* Reference encoder: the payload format spelled out byte by byte on a
+   Buffer. [Logrec] sizes records arithmetically and encodes in place;
+   both must agree with this spec exactly. *)
+let ref_encode op =
+  let buf = Buffer.create 64 in
+  let u16 v =
+    Buffer.add_char buf (Char.chr (v land 0xff));
+    Buffer.add_char buf (Char.chr ((v lsr 8) land 0xff))
+  in
+  let u32 v =
+    u16 (v land 0xffff);
+    u16 ((v lsr 16) land 0xffff)
+  in
+  let u64 v =
+    u32 (v land 0xFFFFFFFF);
+    u32 ((v lsr 32) land 0x7FFFFFFF)
+  in
+  let str s =
+    u16 (String.length s);
+    Buffer.add_string buf s
+  in
+  let extents l =
+    u16 (List.length l);
+    List.iter
+      (fun (a, b) ->
+        u32 a;
+        u32 b)
+      l
+  in
+  (match op with
+  | Logrec.Put { key; size; meta; extents = e; freed_meta; freed_extents } ->
+      str key;
+      u64 size;
+      u32 meta;
+      extents e;
+      u32 (if freed_meta < 0 then 0xFFFFFFFF else freed_meta);
+      extents freed_extents
+  | Logrec.Create { key; meta } ->
+      str key;
+      u32 meta
+  | Logrec.Write { key; meta; size; new_extents } ->
+      str key;
+      u32 meta;
+      u64 size;
+      extents new_extents
+  | Logrec.Delete { key; meta; extents = e } ->
+      str key;
+      u32 meta;
+      extents e
+  | Logrec.Noop { key } -> str key
+  | Logrec.Phys { images } ->
+      u16 (List.length images);
+      List.iter
+        (fun (off, b) ->
+          u64 off;
+          str b)
+        images
+  | Logrec.Txn_begin { txn; members } ->
+      u64 txn;
+      u16 members
+  | Logrec.Txn_commit { txn } -> u64 txn);
+  Buffer.to_bytes buf
+
+(* Every constructor, with arbitrary field values. *)
+let gen_op =
+  let open QCheck.Gen in
+  let key = string_size ~gen:printable (int_range 0 300) in
+  let ext = list_size (int_range 0 12) (pair (int_bound 1_000_000) (int_range 1 64)) in
+  let id = int_bound 0xFFFFFF in
+  let big = int_bound max_int in
+  oneof
+    [
+      map3
+        (fun (key, size, meta) extents (freed_meta, freed_extents) ->
+          Logrec.Put { key; size; meta; extents; freed_meta; freed_extents })
+        (triple key big id) ext
+        (pair (int_range (-1) 0xFFFFFF) ext);
+      map2 (fun key meta -> Logrec.Create { key; meta }) key id;
+      map3
+        (fun key (meta, size) new_extents -> Logrec.Write { key; meta; size; new_extents })
+        key (pair id big) ext;
+      map3 (fun key meta extents -> Logrec.Delete { key; meta; extents }) key id ext;
+      map (fun key -> Logrec.Noop { key }) key;
+      map
+        (fun images -> Logrec.Phys { images })
+        (list_size (int_range 0 6) (pair big (string_size (int_range 0 200))));
+      map2 (fun txn members -> Logrec.Txn_begin { txn; members }) big (int_bound 0xFFFF);
+      map (fun txn -> Logrec.Txn_commit { txn }) big;
+    ]
+
+let prop_logrec_sizing =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"logrec: arithmetic sizing and in-place encode match the spec"
+       ~count:500 (QCheck.make gen_op) (fun op ->
+         let spec = ref_encode op in
+         let enc = Logrec.encode_payload op in
+         (* In place at an offset, surrounded by sentinel bytes. *)
+         let framed = Bytes.make (Bytes.length spec + 40) '\xAA' in
+         Logrec.encode_into op framed ~pos:17;
+         Logrec.record_bytes op = Logrec.header_bytes + Bytes.length spec
+         && Logrec.payload_bytes op = Bytes.length spec
+         && Bytes.equal enc spec
+         && Bytes.equal (Bytes.sub framed 17 (Bytes.length spec)) spec
+         && Bytes.get framed 16 = '\xAA'
+         && Bytes.get framed (17 + Bytes.length spec) = '\xAA'
+         && Logrec.slots_needed op
+            = (Logrec.header_bytes + Bytes.length spec + Logrec.slot_bytes - 1)
+              / Logrec.slot_bytes
+         && Logrec.decode_at ~tag:(Logrec.tag_of_op op) framed ~pos:17 = op))
+
+(* [put_max_slots] is closed form; it must equal the slot count of the
+   worst-case Put it stands for (one extent per block, nblocks + 4 freed
+   extents). *)
+let prop_put_max_slots =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"logrec: put_max_slots = slots of the worst-case put"
+       ~count:300
+       QCheck.(pair (string_of_size Gen.(int_range 0 400)) (int_range 0 200))
+       (fun (key, nblocks) ->
+         let n = max nblocks 1 in
+         let worst =
+           Logrec.Put
+             {
+               key;
+               size = 0;
+               meta = 0;
+               extents = List.init n (fun i -> (i * 2, 1));
+               freed_meta = 0;
+               freed_extents = List.init (n + 4) (fun i -> (i * 2, 1));
+             }
+         in
+         Logrec.put_max_slots key nblocks = Logrec.slots_needed worst))
+
 (* --- Oplog ------------------------------------------------------------ *)
 
 let fresh_log ?(slots = 64) p =
@@ -528,6 +661,8 @@ let suite =
     ("logrec bad tag", `Quick, test_logrec_bad_tag);
     ("logrec truncated", `Quick, test_logrec_truncated);
     prop_logrec_roundtrip;
+    prop_logrec_sizing;
+    prop_put_max_slots;
     ("oplog append+scan", `Quick, test_oplog_append_scan);
     ("oplog multislot records", `Quick, test_oplog_multislot_records);
     ("oplog reserve exhaustion", `Quick, test_oplog_reserve_exhaustion);

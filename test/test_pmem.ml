@@ -243,6 +243,117 @@ let test_with_bulk_cost_linear () =
   check Alcotest.int "4 segments cost the same as one 4x transfer"
     (elapsed 1 19200) (elapsed 4 4800)
 
+(* --- undo slot table ---------------------------------------------------- *)
+
+let big_config = { small_config with size = 1024 * 1024 }
+
+let test_undo_first_write_after_flush () =
+  with_pmem (fun pm _ _ ->
+      Pmem.set_u64 pm 0 1;
+      Pmem.set_u64 pm 0 2;
+      Pmem.set_u64 pm 8 3;
+      Pmem.crash pm Pmem.Drop_all;
+      check Alcotest.int "image predates the first write" 0 (Pmem.get_u64 pm 0);
+      check Alcotest.int "same line, same image" 0 (Pmem.get_u64 pm 8);
+      Pmem.set_u64 pm 0 10;
+      Pmem.persist pm 0 8;
+      Pmem.set_u64 pm 0 11;
+      Pmem.set_u64 pm 0 12;
+      Pmem.crash pm Pmem.Drop_all;
+      check Alcotest.int "image retaken after flush" 10 (Pmem.get_u64 pm 0))
+
+let test_undo_dirty_count () =
+  with_pmem ~cfg:big_config (fun pm _ _ ->
+      Pmem.fill pm 60 200 7;
+      (* bytes 60..259 touch lines 0..4 *)
+      check Alcotest.int "fill spans five lines" 5 (Pmem.dirty_lines pm);
+      Pmem.set_u8 pm 70 1;
+      Pmem.blit_from_bytes pm (Bytes.make 64 'x') ~src:0 ~dst:320 ~len:64;
+      check Alcotest.int "rewrites of dirty lines count once" 6 (Pmem.dirty_lines pm);
+      Pmem.flush pm 64 64;
+      check Alcotest.int "flush of one line" 5 (Pmem.dirty_lines pm);
+      Pmem.flush pm 4096 4096;
+      check Alcotest.int "flush of clean lines" 5 (Pmem.dirty_lines pm);
+      Pmem.flush pm 0 1024;
+      check Alcotest.int "all clean" 0 (Pmem.dirty_lines pm))
+
+let test_undo_slot_reuse () =
+  with_pmem ~cfg:big_config (fun pm _ _ ->
+      (* Line 0 stays dirty throughout, so the pool never resets; lines
+         1..1000 are flushed with a new durable value and re-dirtied, ten
+         times over. Their slots must be reused (one chunk holds the whole
+         working set) and every image must stay exact. *)
+      Pmem.set_u64 pm 0 99;
+      for round = 1 to 10 do
+        for l = 1 to 1000 do
+          Pmem.set_u64 pm (l * 64) (round * 10_000 + l)
+        done;
+        Pmem.flush pm 64 (1000 * 64);
+        for l = 1 to 1000 do
+          Pmem.set_u64 pm (l * 64) (-1)
+        done;
+        check Alcotest.int "working set dirty" 1001 (Pmem.dirty_lines pm);
+        check Alcotest.int "one chunk reused" 65536 (Pmem.undo_pool_bytes pm)
+      done;
+      Pmem.crash pm Pmem.Drop_all;
+      check Alcotest.int "pinned line reverted" 0 (Pmem.get_u64 pm 0);
+      for l = 1 to 1000 do
+        if Pmem.get_u64 pm (l * 64) <> (10 * 10_000) + l then
+          Alcotest.failf "line %d: reused slot lost its image" l
+      done;
+      check Alcotest.int "clean after crash" 0 (Pmem.dirty_lines pm))
+
+let test_undo_random_crash_deterministic () =
+  (* The same dirty set, dirtied in opposite orders (so the lines land in
+     different slots), crashed at one seed: byte-identical devices. *)
+  let run order =
+    with_pmem ~cfg:big_config (fun pm _ _ ->
+        let r = Rng.create 5 in
+        for l = 0 to 4095 do
+          Pmem.set_u64 pm (l * 64) (Rng.int r 1_000_000)
+        done;
+        Pmem.persist pm 0 (4096 * 64);
+        let lines = List.init 3000 (fun i -> (i * 7919) mod 16384) in
+        List.iter
+          (fun l -> Pmem.fill pm (l * 64) 64 (l land 0xff))
+          (if order then lines else List.rev lines);
+        Pmem.crash pm (Pmem.Random (Rng.create 42));
+        let b = Bytes.create (Pmem.size pm) in
+        Pmem.blit_to_bytes pm ~src:0 b ~dst:0 ~len:(Pmem.size pm);
+        b)
+  in
+  Alcotest.(check bool) "identical after Random crash" true (Bytes.equal (run true) (run false))
+
+let test_undo_pool_bounded () =
+  let kept = 16 * 65536 in
+  with_pmem ~cfg:{ small_config with size = 4 * 1024 * 1024 } (fun pm _ _ ->
+      let r = Rng.create 11 in
+      let max_pool = ref 0 in
+      Pmem.set_u64 pm 0 1;
+      for cycle = 1 to 10_000 do
+        if cycle mod 1000 = 0 then begin
+          (* A checkpoint-sized burst, then the device goes clean. *)
+          Pmem.fill pm 64 (20_000 * 64) cycle;
+          Alcotest.(check bool) "burst grows the pool" true
+            (Pmem.undo_pool_bytes pm > kept);
+          Pmem.persist pm 0 (20_001 * 64);
+          check Alcotest.int "clean device" 0 (Pmem.dirty_lines pm);
+          Alcotest.(check bool) "shrinks back when clean" true
+            (Pmem.undo_pool_bytes pm <= kept);
+          Pmem.set_u64 pm 0 cycle
+        end
+        else begin
+          let k = 1 + Rng.int r 64 in
+          let first = 1 + Rng.int r 60_000 in
+          Pmem.fill pm (first * 64) (k * 64) cycle;
+          Pmem.flush pm (first * 64) (k * 64);
+          if cycle < 1000 then max_pool := max !max_pool (Pmem.undo_pool_bytes pm)
+          else if Pmem.undo_pool_bytes pm > kept then
+            Alcotest.failf "cycle %d: pool %d bytes" cycle (Pmem.undo_pool_bytes pm)
+        end
+      done;
+      check Alcotest.int "steady state before any burst fits one chunk" 65536 !max_pool)
+
 let suite =
   [
     ("read/write roundtrip", `Quick, test_rw_roundtrip);
@@ -262,4 +373,11 @@ let suite =
     ("blit within", `Quick, test_blit_within);
     ("with_bulk single registration", `Quick, test_with_bulk_single_registration);
     ("with_bulk segment cost linear", `Quick, test_with_bulk_cost_linear);
+    ("undo: image taken at first write after flush", `Quick,
+     test_undo_first_write_after_flush);
+    ("undo: dirty_lines counts lines", `Quick, test_undo_dirty_count);
+    ("undo: slots reused across flush and re-dirty", `Quick, test_undo_slot_reuse);
+    ("undo: Random crash deterministic per seed", `Quick,
+     test_undo_random_crash_deterministic);
+    ("undo: pool bounded over 10^4 cycles", `Quick, test_undo_pool_bounded);
   ]

@@ -466,12 +466,52 @@ let test_readcount_concurrent () =
   RP.join_all rp;
   check Alcotest.int "balanced" 0 (Readcount.readers rc "hot")
 
+(* Key edge cases for the range compare: shared prefixes, keys that are
+   prefixes of other keys, the empty key and high/low bytes, on a DRAM
+   arena and on a PMEM-backed one at a non-zero device offset. *)
+let test_btree_key_edges () =
+  let base =
+    [ ""; "a"; "ab"; "abc"; "abd"; "abcd"; "b"; "\000"; "a\000"; "\255"; "a\255" ]
+  in
+  let shared =
+    List.init 300 (fun i -> Printf.sprintf "common/prefix/long/%03d" (i * 7 mod 300))
+  in
+  let prefixes = List.init 40 (fun i -> String.make (i + 1) 'p') in
+  let keys = base @ shared @ prefixes in
+  let absent = [ "abcc"; "abce"; "ac"; "common/prefix/long/"; "common/prefix/long/3000"; "p\000" ] in
+  let run name space =
+    let t = Btree.create space ~root_slot:0 in
+    List.iteri (fun i k -> ignore (Btree.insert t k i)) keys;
+    Btree.check_invariants t;
+    check Alcotest.int (name ^ ": length") (List.length keys) (Btree.length t);
+    List.iteri
+      (fun i k -> Alcotest.(check (option int)) (name ^ ": find " ^ String.escaped k) (Some i) (Btree.find t k))
+      keys;
+    List.iter
+      (fun k -> Alcotest.(check (option int)) (name ^ ": absent " ^ String.escaped k) None (Btree.find t k))
+      absent;
+    let order = List.rev (Btree.fold t ~init:[] ~f:(fun acc k _ -> k :: acc)) in
+    Alcotest.(check (list string)) (name ^ ": key order") (List.sort String.compare keys) order;
+    Alcotest.(check (option int)) (name ^ ": delete empty key") (Some 0) (Btree.delete t "");
+    Alcotest.(check (option int)) (name ^ ": empty key gone") None (Btree.find t "");
+    Alcotest.(check (option int)) (name ^ ": prefix survives") (Some 1) (Btree.find t "a");
+    Btree.check_invariants t
+  in
+  run "dram" (fresh_space ());
+  let sim = Dstore_platform.Sim.create () in
+  let p = Dstore_platform.Sim_platform.make sim in
+  let pm =
+    Dstore_pmem.Pmem.create p { Dstore_pmem.Pmem.default_config with size = 1 lsl 21 }
+  in
+  run "pmem" (Space.format (Mem.of_pmem pm ~off:(1 lsl 20) ~len:(1 lsl 20)))
+
 let suite =
   [
     ("btree empty", `Quick, test_btree_empty);
     ("btree insert/find", `Quick, test_btree_insert_find);
     ("btree overwrite", `Quick, test_btree_overwrite);
     ("btree delete", `Quick, test_btree_delete);
+    ("btree key edges: prefixes, empty key", `Quick, test_btree_key_edges);
     ("btree 5k sequential", `Quick, test_btree_many_sequential);
     ("btree 5k random order", `Quick, test_btree_many_random_order);
     ("btree iter sorted", `Quick, test_btree_iter_sorted);

@@ -343,6 +343,40 @@ let prop_crc_subrange =
       Checksum.crc32c b ~pos ~len
       = Checksum.crc32c_string (String.sub s pos len))
 
+(* Bytewise reference CRC-32C: one table lookup per byte, the textbook
+   form the slicing-by-8 implementation must reproduce exactly. *)
+let ref_crc32c ?(init = 0) b ~pos ~len =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          if !c land 1 = 1 then c := 0x82F63B78 lxor (!c lsr 1) else c := !c lsr 1
+        done;
+        !c)
+  in
+  let c = ref (init lxor 0xFFFFFFFF) in
+  for i = pos to pos + len - 1 do
+    c := table.((!c lxor Char.code (Bytes.get b i)) land 0xff) lxor (!c lsr 8)
+  done;
+  !c lxor 0xFFFFFFFF
+
+let test_crc_reference_vector () =
+  let b = Bytes.of_string "123456789" in
+  check Alcotest.int "reference check value" 0xE3069283 (ref_crc32c b ~pos:0 ~len:9)
+
+let prop_crc_matches_reference =
+  QCheck.Test.make ~name:"crc32c (slicing-by-8) = bytewise reference" ~count:500
+    QCheck.(
+      quad (string_of_size Gen.(int_range 0 300)) (int_bound 400) (int_bound 400)
+        (int_bound 0xFFFFFFFF))
+    (fun (s, a, l, init) ->
+      let n = String.length s in
+      let pos = if n = 0 then 0 else a mod (n + 1) in
+      let len = if n - pos = 0 then 0 else l mod (n - pos + 1) in
+      let b = Bytes.of_string s in
+      Checksum.crc32c ~init b ~pos ~len = ref_crc32c ~init b ~pos ~len
+      && Checksum.crc32c b ~pos ~len = ref_crc32c b ~pos ~len)
+
 (* --- Base_bits ----------------------------------------------------------- *)
 
 let test_bits_clz () =
@@ -434,6 +468,8 @@ let suite =
     ("crc empty", `Quick, test_crc_empty);
     ("crc detects flip", `Quick, test_crc_detects_flip);
     qtest prop_crc_subrange;
+    ("crc reference check value", `Quick, test_crc_reference_vector);
+    qtest prop_crc_matches_reference;
     ("bits clz", `Quick, test_bits_clz);
     ("bits pow2", `Quick, test_bits_pow2);
     ("bits popcount ctz", `Quick, test_bits_popcount_ctz);
