@@ -229,7 +229,7 @@ let put t key value =
       match Btree.insert t.btree key blob with
       | None -> ()
       | Some old_blob ->
-          let old_size = (Space.mem t.space).Mem.get_u64 old_blob in
+          let old_size = Mem.get_u64 (Space.mem t.space) old_blob in
           Space.free t.space old_blob (blob_alloc_size old_size))
 
 let get t key buf =
@@ -239,10 +239,10 @@ let get t key buf =
   | Some blob ->
       t.platform.Platform.consume costs.lookup_ns;
       let m = Space.mem t.space in
-      let size = m.Mem.get_u64 blob in
+      let size = Mem.get_u64 m blob in
       (* Loads from PMEM: charge the media read at bandwidth. *)
       Pmem.bulk_read_cost t.pm size;
-      m.Mem.blit_to_bytes ~src:(blob + 8) buf ~dst:0 ~len:(min size (Bytes.length buf));
+      Mem.blit_to_bytes m ~src:(blob + 8) buf ~dst:0 ~len:(min size (Bytes.length buf));
       size
 
 let delete t key =
@@ -252,7 +252,7 @@ let delete t key =
       match Btree.delete t.btree key with
       | None -> false
       | Some blob ->
-          let size = (Space.mem t.space).Mem.get_u64 blob in
+          let size = Mem.get_u64 (Space.mem t.space) blob in
           Space.free t.space blob (blob_alloc_size size);
           true)
 

@@ -228,5 +228,3 @@ let decode_at ~tag b ~pos =
     | 8 -> Txn_commit { txn = get_u64 c }
     | t -> failwith (Printf.sprintf "Logrec: unknown op tag %d" t)
   with Invalid_argument _ -> failwith "Logrec: truncated payload"
-
-let decode_payload ~tag b = decode_at ~tag b ~pos:0

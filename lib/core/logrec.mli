@@ -76,10 +76,7 @@ val encode_payload : op -> Bytes.t
 val decode_at : tag:int -> Bytes.t -> pos:int -> op
 (** Decode a payload starting at [pos]; it may extend to the end of the
     buffer. [tag] comes from the header. Raises [Failure] on malformed
-    input. *)
-
-val decode_payload : tag:int -> Bytes.t -> op
-(** [decode_at ~pos:0]: the inverse of [encode_payload]. *)
+    input. With [~pos:0] it is the inverse of [encode_payload]. *)
 
 val tag_of_op : op -> int
 

@@ -2,22 +2,17 @@ module Pmem = Dstore_pmem.Pmem
 
 type t = {
   size : int;
-  get_u8 : int -> int;
+  raw : Bytes.t;
+  raw_off : int;
   set_u8 : int -> int -> unit;
-  get_u16 : int -> int;
   set_u16 : int -> int -> unit;
-  get_u32 : int -> int;
   set_u32 : int -> int -> unit;
-  get_u64 : int -> int;
   set_u64 : int -> int -> unit;
-  blit_to_bytes : src:int -> Bytes.t -> dst:int -> len:int -> unit;
   blit_from_bytes : Bytes.t -> src:int -> dst:int -> len:int -> unit;
   blit_within : src:int -> dst:int -> len:int -> unit;
   fill : int -> int -> int -> unit;
   persist : int -> int -> unit;
   is_persistent : bool;
-  raw : Bytes.t;
-  raw_off : int;
 }
 
 let bounds size off len =
@@ -29,24 +24,18 @@ let of_bytes b =
   let chk off len = bounds size off len in
   {
     size;
-    get_u8 = (fun o -> chk o 1; Char.code (Bytes.unsafe_get b o));
+    raw = b;
+    raw_off = 0;
     set_u8 = (fun o v -> chk o 1; Bytes.unsafe_set b o (Char.unsafe_chr (v land 0xff)));
-    get_u16 = (fun o -> chk o 2; Bytes.get_uint16_le b o);
     set_u16 = (fun o v -> chk o 2; Bytes.set_uint16_le b o (v land 0xffff));
-    get_u32 = (fun o -> chk o 4; Int32.to_int (Bytes.get_int32_le b o) land 0xFFFFFFFF);
     set_u32 = (fun o v -> chk o 4; Bytes.set_int32_le b o (Int32.of_int v));
-    get_u64 = (fun o -> chk o 8; Int64.to_int (Bytes.get_int64_le b o));
     set_u64 = (fun o v -> chk o 8; Bytes.set_int64_le b o (Int64.of_int v));
-    blit_to_bytes =
-      (fun ~src dst_b ~dst ~len -> chk src len; Bytes.blit b src dst_b dst len);
     blit_from_bytes =
       (fun src_b ~src ~dst ~len -> chk dst len; Bytes.blit src_b src b dst len);
     blit_within = (fun ~src ~dst ~len -> chk src len; chk dst len; Bytes.blit b src b dst len);
     fill = (fun off len byte -> chk off len; Bytes.fill b off len (Char.chr (byte land 0xff)));
     persist = (fun off len -> chk off len);
     is_persistent = false;
-    raw = b;
-    raw_off = 0;
   }
 
 let dram n = of_bytes (Bytes.make n '\000')
@@ -56,16 +45,12 @@ let of_pmem pm ~off ~len =
   let chk o l = bounds len o l in
   {
     size = len;
-    get_u8 = (fun o -> chk o 1; Pmem.get_u8 pm (off + o));
+    raw = Pmem.unsafe_data pm;
+    raw_off = off;
     set_u8 = (fun o v -> chk o 1; Pmem.set_u8 pm (off + o) v);
-    get_u16 = (fun o -> chk o 2; Pmem.get_u16 pm (off + o));
     set_u16 = (fun o v -> chk o 2; Pmem.set_u16 pm (off + o) v);
-    get_u32 = (fun o -> chk o 4; Pmem.get_u32 pm (off + o));
     set_u32 = (fun o v -> chk o 4; Pmem.set_u32 pm (off + o) v);
-    get_u64 = (fun o -> chk o 8; Pmem.get_u64 pm (off + o));
     set_u64 = (fun o v -> chk o 8; Pmem.set_u64 pm (off + o) v);
-    blit_to_bytes =
-      (fun ~src dst_b ~dst ~len:l -> chk src l; Pmem.blit_to_bytes pm ~src:(off + src) dst_b ~dst ~len:l);
     blit_from_bytes =
       (fun src_b ~src ~dst ~len:l -> chk dst l; Pmem.blit_from_bytes pm src_b ~src ~dst:(off + dst) ~len:l);
     blit_within =
@@ -73,8 +58,6 @@ let of_pmem pm ~off ~len =
     fill = (fun o l byte -> chk o l; Pmem.fill pm (off + o) l byte);
     persist = (fun o l -> chk o l; Pmem.persist pm (off + o) l);
     is_persistent = true;
-    raw = Pmem.unsafe_data pm;
-    raw_off = off;
   }
 
 let sub t ~off ~len =
@@ -82,16 +65,12 @@ let sub t ~off ~len =
   let chk o l = bounds len o l in
   {
     size = len;
-    get_u8 = (fun o -> chk o 1; t.get_u8 (off + o));
+    raw = t.raw;
+    raw_off = t.raw_off + off;
     set_u8 = (fun o v -> chk o 1; t.set_u8 (off + o) v);
-    get_u16 = (fun o -> chk o 2; t.get_u16 (off + o));
     set_u16 = (fun o v -> chk o 2; t.set_u16 (off + o) v);
-    get_u32 = (fun o -> chk o 4; t.get_u32 (off + o));
     set_u32 = (fun o v -> chk o 4; t.set_u32 (off + o) v);
-    get_u64 = (fun o -> chk o 8; t.get_u64 (off + o));
     set_u64 = (fun o v -> chk o 8; t.set_u64 (off + o) v);
-    blit_to_bytes =
-      (fun ~src dst_b ~dst ~len:l -> chk src l; t.blit_to_bytes ~src:(off + src) dst_b ~dst ~len:l);
     blit_from_bytes =
       (fun src_b ~src ~dst ~len:l -> chk dst l; t.blit_from_bytes src_b ~src ~dst:(off + dst) ~len:l);
     blit_within =
@@ -99,9 +78,28 @@ let sub t ~off ~len =
     fill = (fun o l byte -> chk o l; t.fill (off + o) l byte);
     persist = (fun o l -> chk o l; t.persist (off + o) l);
     is_persistent = t.is_persistent;
-    raw = t.raw;
-    raw_off = t.raw_off + off;
   }
+
+(* Reads: straight from the backing buffer, one bounds check each. *)
+let get_u8 t o =
+  bounds t.size o 1;
+  Char.code (Bytes.unsafe_get t.raw (t.raw_off + o))
+
+let get_u16 t o =
+  bounds t.size o 2;
+  Bytes.get_uint16_le t.raw (t.raw_off + o)
+
+let get_u32 t o =
+  bounds t.size o 4;
+  Int32.to_int (Bytes.get_int32_le t.raw (t.raw_off + o)) land 0xFFFFFFFF
+
+let get_u64 t o =
+  bounds t.size o 8;
+  Int64.to_int (Bytes.get_int64_le t.raw (t.raw_off + o))
+
+let blit_to_bytes t ~src b ~dst ~len =
+  bounds t.size src len;
+  Bytes.blit t.raw (t.raw_off + src) b dst len
 
 (* Write-tracking view: every mutating access reports its byte range to
    [note] before being forwarded to [base]. Reads and [persist] pass
@@ -168,7 +166,7 @@ let copy_pages ~src ~dst ~page_bytes ~is_dirty ~limit =
 
 let read_string t ~off ~len =
   let b = Bytes.create len in
-  t.blit_to_bytes ~src:off b ~dst:0 ~len;
+  blit_to_bytes t ~src:off b ~dst:0 ~len;
   Bytes.unsafe_to_string b
 
 let write_string t ~off s =
@@ -176,6 +174,6 @@ let write_string t ~off s =
 
 let equal_range a b ~off ~len =
   let ba = Bytes.create len and bb = Bytes.create len in
-  a.blit_to_bytes ~src:off ba ~dst:0 ~len;
-  b.blit_to_bytes ~src:off bb ~dst:0 ~len;
+  blit_to_bytes a ~src:off ba ~dst:0 ~len;
+  blit_to_bytes b ~src:off bb ~dst:0 ~len;
   Bytes.equal ba bb

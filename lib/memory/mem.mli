@@ -14,25 +14,23 @@
 
 type t = {
   size : int;
-  get_u8 : int -> int;
+  raw : Bytes.t;
+      (** Backing buffer (the DRAM bytes or the PMEM device's data). Every
+          read goes straight to it; never write it directly. *)
+  raw_off : int;  (** Offset of the arena's byte 0 within [raw]. *)
   set_u8 : int -> int -> unit;
-  get_u16 : int -> int;
   set_u16 : int -> int -> unit;
-  get_u32 : int -> int;
   set_u32 : int -> int -> unit;
-  get_u64 : int -> int;
   set_u64 : int -> int -> unit;
-  blit_to_bytes : src:int -> Bytes.t -> dst:int -> len:int -> unit;
   blit_from_bytes : Bytes.t -> src:int -> dst:int -> len:int -> unit;
   blit_within : src:int -> dst:int -> len:int -> unit;
   fill : int -> int -> int -> unit;  (** [fill off len byte] *)
   persist : int -> int -> unit;  (** [persist off len]: no-op on DRAM. *)
   is_persistent : bool;
-  raw : Bytes.t;
-      (** Backing buffer (the DRAM bytes or the PMEM device's data), for
-          read-only fast paths; never write it directly. *)
-  raw_off : int;  (** Offset of the arena's byte 0 within [raw]. *)
 }
+(** Reads are plain functions over [raw] (below); only the write path is a
+    set of closures, so views can add write tracking, undo capture or a
+    copy-on-write barrier without touching reads. *)
 
 val of_bytes : Bytes.t -> t
 (** DRAM arena over a plain byte buffer. Bounds-checked. *)
@@ -43,6 +41,17 @@ val dram : int -> t
 val of_pmem : Dstore_pmem.Pmem.t -> off:int -> len:int -> t
 (** View of a PMEM device range; offsets are relative to [off]. The range
     should be cache-line aligned so [persist] does not touch neighbours. *)
+
+val get_u8 : t -> int -> int
+(** Bounds-checked reads at an arena offset. *)
+
+val get_u16 : t -> int -> int
+
+val get_u32 : t -> int -> int
+
+val get_u64 : t -> int -> int
+
+val blit_to_bytes : t -> src:int -> Bytes.t -> dst:int -> len:int -> unit
 
 val sub : t -> off:int -> len:int -> t
 (** Narrow an arena to a sub-range (offsets re-based to 0). *)
@@ -58,13 +67,12 @@ val tracked : t -> note:(int -> int -> unit) -> t
 val compare_string : t -> off:int -> len:int -> string -> int
 (** [compare_string t ~off ~len s] compares the [len] stored bytes at [off]
     with [s] lexicographically (bytes unsigned, a proper prefix sorts
-    first): negative, zero or positive. One bounds check, then a loop over
-    the backing buffer; allocation-free and side-effect-free. *)
+    first): negative, zero or positive. One bounds check, then a plain
+    byte loop; allocation-free. *)
 
 val copy_range : src:t -> dst:t -> off:int -> len:int -> unit
 (** Copy [len] bytes at [off] from [src] to the same offset in [dst],
-    reading [src]'s backing buffer directly and writing through [dst]'s
-    write path. Device time is not charged. *)
+    writing through [dst]'s write path. Device time is not charged. *)
 
 val copy_pages :
   src:t -> dst:t -> page_bytes:int -> is_dirty:(int -> bool) -> limit:int -> int

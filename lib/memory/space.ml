@@ -59,13 +59,13 @@ let format mem =
   t
 
 let attach mem =
-  if mem.Mem.get_u64 off_magic <> magic then
+  if Mem.get_u64 mem off_magic <> magic then
     invalid_arg "Space.attach: bad magic (not a formatted space)";
   { mem; guard = Mutex.create (); sealed = true }
 
 let mem t = t.mem
 
-let used t = t.mem.Mem.get_u64 off_used
+let used t = Mem.get_u64 t.mem off_used
 
 let set_used t v = t.mem.Mem.set_u64 off_used v
 
@@ -98,10 +98,10 @@ let alloc t n =
   Mutex.lock t.guard;
   t.sealed <- true;
   let result =
-    let head = t.mem.Mem.get_u64 (head_off c) in
+    let head = Mem.get_u64 t.mem (head_off c) in
     if head <> 0 then begin
       (* Pop: the free block's first word is the next pointer. *)
-      let next = t.mem.Mem.get_u64 head in
+      let next = Mem.get_u64 t.mem head in
       t.mem.Mem.set_u64 (head_off c) next;
       Ok head
     end
@@ -119,16 +119,16 @@ let alloc t n =
 
 let free t off n =
   let c = class_of n in
-  assert (off >= t.mem.Mem.get_u64 off_heap_base && off < used t);
+  assert (off >= Mem.get_u64 t.mem off_heap_base && off < used t);
   Mutex.lock t.guard;
-  let head = t.mem.Mem.get_u64 (head_off c) in
+  let head = Mem.get_u64 t.mem (head_off c) in
   t.mem.Mem.set_u64 off head;
   t.mem.Mem.set_u64 (head_off c) off;
   Mutex.unlock t.guard
 
 let get_root t slot =
   assert (slot >= 0 && slot < root_slots);
-  t.mem.Mem.get_u64 (off_roots + (8 * slot))
+  Mem.get_u64 t.mem (off_roots + (8 * slot))
 
 let set_root t slot v =
   assert (slot >= 0 && slot < root_slots);
@@ -151,9 +151,9 @@ let copy_into src dst_mem =
    were never cloned and hold unrelated garbage. The result is
    byte-identical to a full [copy_into] over the whole used prefix. *)
 let copy_delta src dst_mem ~page_bytes ~is_dirty ~on_page =
-  if dst_mem.Mem.get_u64 off_magic <> magic then
+  if Mem.get_u64 dst_mem off_magic <> magic then
     invalid_arg "Space.copy_delta: target is not a formatted space";
-  let old_used = dst_mem.Mem.get_u64 off_used in
+  let old_used = Mem.get_u64 dst_mem off_used in
   let new_used = used src in
   if new_used > dst_mem.Mem.size then raise Out_of_space;
   if old_used < header_bytes || old_used > new_used then
@@ -176,10 +176,10 @@ let free_list_bytes t =
   let total = ref 0 in
   for c = min_class to max_class do
     let csize = 1 lsl c in
-    let p = ref (t.mem.Mem.get_u64 (head_off c)) in
+    let p = ref (Mem.get_u64 t.mem (head_off c)) in
     while !p <> 0 do
       total := !total + csize;
-      p := t.mem.Mem.get_u64 !p
+      p := Mem.get_u64 t.mem !p
     done
   done;
   Mutex.unlock t.guard;
@@ -190,13 +190,13 @@ let free_list_bytes t =
 let fsck t =
   let bad = ref [] in
   let err fmt = Printf.ksprintf (fun s -> bad := s :: !bad) fmt in
-  let m = t.mem.Mem.get_u64 off_magic in
+  let m = Mem.get_u64 t.mem off_magic in
   if m <> magic then err "space: bad magic %#x" m;
-  let size = t.mem.Mem.get_u64 off_size in
+  let size = Mem.get_u64 t.mem off_size in
   if size <> t.mem.Mem.size then
     err "space: header size %d <> region size %d" size t.mem.Mem.size;
-  let used = t.mem.Mem.get_u64 off_used in
-  let heap_base = t.mem.Mem.get_u64 off_heap_base in
+  let used = Mem.get_u64 t.mem off_used in
+  let heap_base = Mem.get_u64 t.mem off_heap_base in
   if not (header_bytes <= heap_base && heap_base <= used && used <= t.mem.Mem.size)
   then
     err "space: bounds violated (header=%d heap_base=%d used=%d size=%d)"
@@ -206,7 +206,7 @@ let fsck t =
   let max_nodes = ((t.mem.Mem.size - header_bytes) / 16) + 1 in
   for c = min_class to max_class do
     let seen = Hashtbl.create 16 in
-    let p = ref (t.mem.Mem.get_u64 (head_off c)) in
+    let p = ref (Mem.get_u64 t.mem (head_off c)) in
     let steps = ref 0 in
     let stop = ref false in
     while !p <> 0 && not !stop do
@@ -226,7 +226,7 @@ let fsck t =
       end
       else begin
         Hashtbl.add seen !p ();
-        p := t.mem.Mem.get_u64 !p
+        p := Mem.get_u64 t.mem !p
       end
     done
   done;

@@ -189,8 +189,9 @@ val dirty_lines : t -> int
 val undo_pool_bytes : t -> int
 (** Bytes of undo-image storage the crash model currently holds. Images
     sit in a line-indexed slot table backed by 64 KiB chunks; a flushed
-    line's slot is reused by the next newly dirty line, and when the
-    device goes clean the pool shrinks back to at most 16 chunks (1 MiB). *)
+    line's slot is reused by the next newly dirty line. The pool never
+    shrinks: it holds as many chunks as the most lines ever dirty at once
+    needed. *)
 
 (** {1 Statistics} *)
 

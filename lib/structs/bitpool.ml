@@ -28,7 +28,7 @@ let format space ~off ~count =
   (* Mark the padding bits of the last word allocated so scans skip them. *)
   for id = count to (t.words * bits_per_word) - 1 do
     let wo = word_off t (id / bits_per_word) in
-    t.mem.Mem.set_u32 wo (t.mem.Mem.get_u32 wo lor (1 lsl (id mod bits_per_word)))
+    t.mem.Mem.set_u32 wo (Mem.get_u32 t.mem wo lor (1 lsl (id mod bits_per_word)))
   done;
   t
 
@@ -36,30 +36,30 @@ let attach space ~off ~count = make space ~off ~count
 
 let count t = t.count
 
-let hint t = t.mem.Mem.get_u64 t.off
+let hint t = Mem.get_u64 t.mem t.off
 
 let set_hint t v = t.mem.Mem.set_u64 t.off v
 
-let allocated t = t.mem.Mem.get_u64 (t.off + 8)
+let allocated t = Mem.get_u64 t.mem (t.off + 8)
 
 let bump_allocated t d = t.mem.Mem.set_u64 (t.off + 8) (allocated t + d)
 
 let is_allocated t id =
   assert (id >= 0 && id < t.count);
-  let w = t.mem.Mem.get_u32 (word_off t (id / bits_per_word)) in
+  let w = Mem.get_u32 t.mem (word_off t (id / bits_per_word)) in
   w land (1 lsl (id mod bits_per_word)) <> 0
 
 let set_bit t id =
   let wo = word_off t (id / bits_per_word) in
-  t.mem.Mem.set_u32 wo (t.mem.Mem.get_u32 wo lor (1 lsl (id mod bits_per_word)))
+  t.mem.Mem.set_u32 wo (Mem.get_u32 t.mem wo lor (1 lsl (id mod bits_per_word)))
 
 let clear_bit t id =
   let wo = word_off t (id / bits_per_word) in
-  t.mem.Mem.set_u32 wo (t.mem.Mem.get_u32 wo land lnot (1 lsl (id mod bits_per_word)))
+  t.mem.Mem.set_u32 wo (Mem.get_u32 t.mem wo land lnot (1 lsl (id mod bits_per_word)))
 
 (* First free id in word [w_idx] at or above bit [lo_bit], if any. *)
 let probe t w_idx lo_bit =
-  let w = t.mem.Mem.get_u32 (word_off t w_idx) in
+  let w = Mem.get_u32 t.mem (word_off t w_idx) in
   let free_mask = lnot w land 0xFFFFFFFF land lnot ((1 lsl lo_bit) - 1) in
   if free_mask <> 0 then Some ((w_idx * bits_per_word) + Base_bits.ctz free_mask)
   else None

@@ -29,25 +29,25 @@ let m t = Space.mem t.space
 
 (* --- node field accessors ------------------------------------------- *)
 
-let tag t n = (m t).Mem.get_u8 n
+let tag t n = Mem.get_u8 (m t) n
 
 let set_tag t n v = (m t).Mem.set_u8 n v
 
-let nkeys t n = (m t).Mem.get_u16 (n + 2)
+let nkeys t n = Mem.get_u16 (m t) (n + 2)
 
 let set_nkeys t n v = (m t).Mem.set_u16 (n + 2) v
 
-let link t n = (m t).Mem.get_u64 (n + 8)
+let link t n = Mem.get_u64 (m t) (n + 8)
 
 let set_link t n v = (m t).Mem.set_u64 (n + 8) v
 
 let cell t n i = n + cells_off + (i * cell_bytes)
 
-let cell_koff t n i = (m t).Mem.get_u64 (cell t n i)
+let cell_koff t n i = Mem.get_u64 (m t) (cell t n i)
 
-let cell_value t n i = (m t).Mem.get_u64 (cell t n i + 8)
+let cell_value t n i = Mem.get_u64 (m t) (cell t n i + 8)
 
-let cell_klen t n i = (m t).Mem.get_u16 (cell t n i + 16)
+let cell_klen t n i = Mem.get_u16 (m t) (cell t n i + 16)
 
 let set_cell t n i ~koff ~klen ~value =
   let c = cell t n i in

@@ -33,9 +33,9 @@ let attach space ~off ~count = { space; off; count }
 
 let count t = t.count
 
-let is_live t id = (mem t).Mem.get_u8 (entry t id) = 1
+let is_live t id = Mem.get_u8 (mem t) (entry t id) = 1
 
-let nextents t id = (mem t).Mem.get_u16 (entry t id + 2)
+let nextents t id = Mem.get_u16 (mem t) (entry t id + 2)
 
 let spill_bytes n = (n - inline_extents) * 8
 
@@ -44,7 +44,7 @@ let write_extent_at m off e =
   m.Mem.set_u32 (off + 4) e.len
 
 let read_extent_at m off =
-  { start = m.Mem.get_u32 off; len = m.Mem.get_u32 (off + 4) }
+  { start = Mem.get_u32 m off; len = Mem.get_u32 m (off + 4) }
 
 let write_object t id ~size extents =
   let e = entry t id in
@@ -55,7 +55,7 @@ let write_object t id ~size extents =
      under parallel checkpoint replay — see DESIGN.md. *)
   if is_live t id then begin
     let old_n = nextents t id in
-    let old_spill = m.Mem.get_u64 (e + 16) in
+    let old_spill = Mem.get_u64 m (e + 16) in
     if old_spill <> 0 then Space.free t.space old_spill (spill_bytes old_n)
   end;
   let n = List.length extents in
@@ -77,12 +77,12 @@ let read_object t id =
   let m = mem t in
   assert (is_live t id);
   let n = nextents t id in
-  let spill = m.Mem.get_u64 (e + 16) in
+  let spill = Mem.get_u64 m (e + 16) in
   let read i =
     if i < inline_extents then read_extent_at m (e + 24 + (i * 8))
     else read_extent_at m (spill + ((i - inline_extents) * 8))
   in
-  (m.Mem.get_u64 (e + 8), List.init n read)
+  (Mem.get_u64 m (e + 8), List.init n read)
 
 let set_size t id size =
   assert (is_live t id);
@@ -98,14 +98,14 @@ let append_extents t id extra =
   if n > inline_extents then begin
     (* Reallocate the spill array if it grows (size classes may absorb it,
        but re-writing unconditionally keeps this simple and correct). *)
-    let old_spill = m.Mem.get_u64 (e + 16) in
+    let old_spill = Mem.get_u64 m (e + 16) in
     if old_spill <> 0 then Space.free t.space old_spill (spill_bytes old_n);
     let spill = Space.alloc t.space (spill_bytes n) in
     m.Mem.set_u64 (e + 16) spill
   end;
   m.Mem.set_u16 (e + 2) n;
   m.Mem.set_u64 (e + 8) size;
-  let spill = m.Mem.get_u64 (e + 16) in
+  let spill = Mem.get_u64 m (e + 16) in
   List.iteri
     (fun i ext ->
       if i < inline_extents then write_extent_at m (e + 24 + (i * 8)) ext
@@ -117,7 +117,7 @@ let free_object t id =
   let m = mem t in
   assert (is_live t id);
   let n = nextents t id in
-  let spill = m.Mem.get_u64 (e + 16) in
+  let spill = Mem.get_u64 m (e + 16) in
   if spill <> 0 then Space.free t.space spill (spill_bytes n);
   m.Mem.fill e entry_bytes 0
 

@@ -340,8 +340,6 @@ let prop_cached_crash_acked_survive =
          let r = Rng.create seed in
          let module M = Map.Make (String) in
          let acked = ref M.empty in
-         (* Key of a delete in flight at the crash: it may have landed. *)
-         let deleting = ref None in
          let st_ref = ref None in
          Sim.spawn sim "w" (fun () ->
              let st = Cached_store.create p pm ssd cached_cfg in
@@ -349,9 +347,7 @@ let prop_cached_crash_acked_survive =
              for i = 0 to 149 do
                let key = Printf.sprintf "k%d" (Rng.int r 30) in
                if Rng.int r 5 = 0 then begin
-                 deleting := Some key;
                  ignore (Cached_store.delete st key);
-                 deleting := None;
                  acked := M.add key None !acked
                end
                else begin
@@ -380,7 +376,7 @@ let prop_cached_crash_acked_survive =
                  | Some v, Some g when g = v -> ()
                  | None, None -> ()
                  | _, Some _ -> () (* newer in-flight write may have landed *)
-                 | Some _, None -> if !deleting <> Some key then ok := false)
+                 | Some _, None -> ok := false)
                snapshot;
              Cached_store.stop st);
          Sim.run sim;
@@ -395,16 +391,12 @@ let prop_lsm_crash_acked_survive =
          let r = Rng.create seed in
          let module M = Map.Make (String) in
          let acked = ref M.empty in
-         (* Key of a delete in flight at the crash: it may have landed. *)
-         let deleting = ref None in
          Sim.spawn sim "w" (fun () ->
              let st = Lsm_store.create p pm ssd lsm_cfg in
              for i = 0 to 199 do
                let key = Printf.sprintf "k%d" (Rng.int r 40) in
                if Rng.int r 6 = 0 then begin
-                 deleting := Some key;
                  ignore (Lsm_store.delete st key);
-                 deleting := None;
                  acked := M.add key None !acked
                end
                else begin
@@ -426,7 +418,7 @@ let prop_lsm_crash_acked_survive =
                  | Some v, Some g when g = v -> ()
                  | None, None -> ()
                  | _, Some _ -> ()
-                 | Some _, None -> if !deleting <> Some key then ok := false)
+                 | Some _, None -> ok := false)
                snapshot;
              Lsm_store.stop st);
          Sim.run sim;

@@ -52,7 +52,7 @@ let test_logrec_roundtrip () =
   List.iter
     (fun op ->
       let payload = Logrec.encode_payload op in
-      let back = Logrec.decode_payload ~tag:(Logrec.tag_of_op op) payload in
+      let back = Logrec.decode_at ~tag:(Logrec.tag_of_op op) payload ~pos:0 in
       Alcotest.(check bool) "roundtrip" true (back = op))
     sample_ops
 
@@ -63,7 +63,7 @@ let test_logrec_roundtrip_padded () =
       let payload = Logrec.encode_payload op in
       let padded = Bytes.make (Bytes.length payload + 40) '\000' in
       Bytes.blit payload 0 padded 0 (Bytes.length payload);
-      let back = Logrec.decode_payload ~tag:(Logrec.tag_of_op op) padded in
+      let back = Logrec.decode_at ~tag:(Logrec.tag_of_op op) padded ~pos:0 in
       Alcotest.(check bool) "roundtrip with padding" true (back = op))
     sample_ops
 
@@ -93,18 +93,18 @@ let test_logrec_multislot () =
   Alcotest.(check bool) "multiple slots" true (Logrec.slots_needed op > 1);
   let payload = Logrec.encode_payload op in
   Alcotest.(check bool) "roundtrip" true
-    (Logrec.decode_payload ~tag:5 payload = op)
+    (Logrec.decode_at ~tag:5 payload ~pos:0 = op)
 
 let test_logrec_bad_tag () =
   Alcotest.check_raises "unknown tag" (Failure "Logrec: unknown op tag 99")
-    (fun () -> ignore (Logrec.decode_payload ~tag:99 (Bytes.create 8)))
+    (fun () -> ignore (Logrec.decode_at ~tag:99 (Bytes.create 8) ~pos:0))
 
 let test_logrec_truncated () =
   let op = Logrec.Delete { key = "someobject"; meta = 1; extents = [ (1, 1) ] } in
   let payload = Logrec.encode_payload op in
   let cut = Bytes.sub payload 0 4 in
   Alcotest.(check bool) "fails cleanly" true
-    (match Logrec.decode_payload ~tag:4 cut with
+    (match Logrec.decode_at ~tag:4 cut ~pos:0 with
     | exception Failure _ -> true
     | _ -> false)
 
@@ -119,7 +119,7 @@ let prop_logrec_roundtrip =
          let op =
            Logrec.Put { key; size; meta; extents; freed_meta = -1; freed_extents = [] }
          in
-         Logrec.decode_payload ~tag:1 (Logrec.encode_payload op) = op))
+         Logrec.decode_at ~tag:1 (Logrec.encode_payload op) ~pos:0 = op))
 
 (* Reference encoder: the payload format spelled out byte by byte on a
    Buffer. [Logrec] sizes records arithmetically and encodes in place;

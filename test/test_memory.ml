@@ -26,10 +26,10 @@ let mem_roundtrip (m : Mem.t) =
   m.set_u16 2 0xBEEF;
   m.set_u32 4 0xCAFEBABE;
   m.set_u64 8 (0x1122334455667788 / 2);
-  check Alcotest.int "u8" 0x7F (m.get_u8 0);
-  check Alcotest.int "u16" 0xBEEF (m.get_u16 2);
-  check Alcotest.int "u32" 0xCAFEBABE (m.get_u32 4);
-  check Alcotest.int "u64" (0x1122334455667788 / 2) (m.get_u64 8);
+  check Alcotest.int "u8" 0x7F (Mem.get_u8 m 0);
+  check Alcotest.int "u16" 0xBEEF (Mem.get_u16 m 2);
+  check Alcotest.int "u32" 0xCAFEBABE (Mem.get_u32 m 4);
+  check Alcotest.int "u64" (0x1122334455667788 / 2) (Mem.get_u64 m 8);
   Mem.write_string m ~off:100 "arena string";
   check Alcotest.string "string" "arena string" (Mem.read_string m ~off:100 ~len:12)
 
@@ -44,11 +44,11 @@ let test_mem_sub () =
   let base = Mem.dram 4096 in
   let s = Mem.sub base ~off:1024 ~len:1024 in
   s.Mem.set_u64 0 42;
-  check Alcotest.int "sub view maps to base" 42 (base.Mem.get_u64 1024);
-  check Alcotest.int "sub read" 42 (s.Mem.get_u64 0);
+  check Alcotest.int "sub view maps to base" 42 (Mem.get_u64 base 1024);
+  check Alcotest.int "sub read" 42 (Mem.get_u64 s 0);
   Alcotest.check_raises "sub bounds"
     (Invalid_argument "Mem: access [1024,+8) outside arena of 1024") (fun () ->
-      ignore (s.Mem.get_u64 1024))
+      ignore (Mem.get_u64 s 1024))
 
 let test_mem_persist_dram_noop () =
   let m = Mem.dram 128 in
@@ -245,7 +245,7 @@ let prop_space_alloc_free_alloc_stable =
            else begin
              match !live with
              | (off, n, stamp) :: rest ->
-                 if (Space.mem s).Mem.get_u64 off <> stamp then ok := false;
+                 if Mem.get_u64 (Space.mem s) off <> stamp then ok := false;
                  Space.free s off n;
                  live := rest
              | [] -> ()
@@ -253,7 +253,7 @@ let prop_space_alloc_free_alloc_stable =
          done;
          List.iter
            (fun (off, _, stamp) ->
-             if (Space.mem s).Mem.get_u64 off <> stamp then ok := false)
+             if Mem.get_u64 (Space.mem s) off <> stamp then ok := false)
            !live;
          !ok))
 
@@ -275,12 +275,12 @@ let test_mem_tracked () =
     "every mutation noted with its offset and length"
     [ (10, 1); (20, 2); (40, 4); (80, 8); (100, 5); (200, 5); (300, 16) ]
     (List.rev !notes);
-  check Alcotest.int "writes reach the base arena" 0xAA (base.Mem.get_u8 10);
+  check Alcotest.int "writes reach the base arena" 0xAA (Mem.get_u8 base 10);
   check Alcotest.string "blit reaches the base arena" "hello"
     (Mem.read_string base ~off:200 ~len:5);
-  check Alcotest.int "fill reaches the base arena" 0xEE (base.Mem.get_u8 315);
+  check Alcotest.int "fill reaches the base arena" 0xEE (Mem.get_u8 base 315);
   let before = List.length !notes in
-  ignore (m.Mem.get_u64 80);
+  ignore (Mem.get_u64 m 80);
   ignore (Mem.read_string m ~off:100 ~len:5);
   check Alcotest.int "reads are not noted" before (List.length !notes)
 
@@ -308,8 +308,8 @@ let test_mem_copy_pages () =
         true
         (Mem.equal_range src dst ~off:(p * page) ~len:page))
     dirty;
-  check Alcotest.int "clean page untouched" 0 (dst.Mem.get_u64 0);
-  check Alcotest.int "clean page 3 untouched" 0 (dst.Mem.get_u64 (3 * page));
+  check Alcotest.int "clean page untouched" 0 (Mem.get_u64 dst 0);
+  check Alcotest.int "clean page 3 untouched" 0 (Mem.get_u64 dst (3 * page));
   (* A limit short of the last dirty page clips the copy. *)
   let dst2 = Mem.dram (page * npages) in
   let copied2 =
@@ -318,7 +318,7 @@ let test_mem_copy_pages () =
       ~limit:(3 * page)
   in
   check Alcotest.int "limit clips trailing dirty pages" (2 * page) copied2;
-  check Alcotest.int "page 5 beyond limit untouched" 0 (dst2.Mem.get_u64 (5 * page))
+  check Alcotest.int "page 5 beyond limit untouched" 0 (Mem.get_u64 dst2 (5 * page))
 
 let test_space_copy_delta () =
   let size = 256 * 1024 in
