@@ -174,6 +174,7 @@ type t = {
   deltas : delta array;  (* one dirty epoch per PMEM half *)
   st : stats;
   obs : Obs.t;
+  h_batch_fill : Metrics.histo;
   mutable commit_hook : ((int * Logrec.op) list -> unit) option;
       (* Oplog span export seam (dstore_repl): called after a commit's
          closing persist, with the (lsn, op) pairs the persisted span
@@ -379,6 +380,7 @@ let make_engine ?obs platform pm (cfg : Config.t) hooks root =
       deltas;
       st;
       obs;
+      h_batch_fill = Metrics.histogram obs.Obs.metrics "dipper.batch_fill";
       commit_hook = None;
     },
     raw,
@@ -1211,9 +1213,7 @@ let commit_batch t tks =
       fire_commit_hook t tks;
       t.st.batches_committed <- t.st.batches_committed + 1;
       t.st.batch_records <- t.st.batch_records + List.length tks;
-      Metrics.observe
-        (Metrics.histogram t.obs.Obs.metrics "dipper.batch_fill")
-        (List.length tks);
+      Metrics.observe t.h_batch_fill (List.length tks);
       List.iter
         (fun tk ->
           (match tk.key with

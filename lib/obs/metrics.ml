@@ -39,23 +39,26 @@ let with_guard t f =
       Mutex.unlock t.guard;
       raise e
 
-let register t name instr =
+(* [make] runs only when [name] is new, so looking up an existing
+   instrument allocates nothing (a histogram's bucket array is large). *)
+let register t name make =
   with_guard t (fun () ->
       match Hashtbl.find_opt t.instruments name with
       | Some existing -> existing
       | None ->
+          let instr = make () in
           Hashtbl.replace t.instruments name instr;
           instr)
 
 let kind_error name = invalid_arg ("Metrics: " ^ name ^ " registered with another kind")
 
 let counter t name =
-  match register t name (Counter { c = 0; c_on = t.on }) with
+  match register t name (fun () -> Counter { c = 0; c_on = t.on }) with
   | Counter c -> c
   | _ -> kind_error name
 
 let gauge t name =
-  match register t name (Gauge { g = 0; g_on = t.on }) with
+  match register t name (fun () -> Gauge { g = 0; g_on = t.on }) with
   | Gauge g -> g
   | _ -> kind_error name
 
@@ -65,7 +68,7 @@ let gauge_fn t name f =
   with_guard t (fun () -> Hashtbl.replace t.instruments name (Fn f))
 
 let histogram ?sub_bits t name =
-  match register t name (Histo { h = Histogram.create ?sub_bits (); h_on = t.on }) with
+  match register t name (fun () -> Histo { h = Histogram.create ?sub_bits (); h_on = t.on }) with
   | Histo h -> h
   | _ -> kind_error name
 
