@@ -33,9 +33,10 @@ val set_enabled : t -> bool -> unit
 
 (** {1 Instruments}
 
-    [counter]/[gauge]/[histogram] return the existing instrument when the
-    name is already registered (same-kind), so independent modules can
-    share a series by name. Registering a name under a different kind
+    [counter]/[gauge]/[histogram] return the existing instrument, without
+    allocating, when the name is already registered (same-kind), so
+    independent modules can share a series by name. Hot paths should
+    still keep the instrument rather than look it up per event. Registering a name under a different kind
     raises [Invalid_argument]. *)
 
 val counter : t -> string -> counter

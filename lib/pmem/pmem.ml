@@ -92,11 +92,12 @@ let default_config =
    slots; a flushed line's slot goes on a free stack and is reused by the
    next newly dirty line, so steady-state dirty/flush traffic allocates
    nothing. The pool keeps its high-water mark when the device goes clean:
-   the perfbench workloads peak at 43 chunks (2.7 MiB, ckpt-write) and 35
-   (cached-read, repl-mixed) per device, and dropping chunks on every clean
-   device would only churn 64 KiB blocks through the major heap on every
-   checkpoint. [owner] maps a slot back to its line (-1 when free) so a crash
-   can find the dirty lines without sweeping the whole table. *)
+   at seed 1 the perfbench workloads peak at 43 chunks (2.7 MiB,
+   ckpt-write) and 35 (cached-read, repl-mixed) per device, and dropping
+   chunks on every clean device would only churn 64 KiB blocks through the
+   major heap on every checkpoint. [owner] maps a slot back to its line
+   (-1 when free) so a crash can find the dirty lines without sweeping the
+   whole table. *)
 let chunk_lines = 1024 (* 64 KiB of images per chunk *)
 
 let chunk_shift = 10
