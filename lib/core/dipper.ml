@@ -235,8 +235,6 @@ let register_stat_views m (st : stats) =
   M.gauge_fn m "dipper.recovery_replayed_records" (fun () ->
       st.recovery_replayed_records)
 
-let ticket_lsn tk = tk.lsn
-
 let ticket_op tk = tk.op
 
 (* --- volatile arena wrapper --------------------------------------------- *)
@@ -863,386 +861,15 @@ let stop t =
       t.stopping <- true;
       t.cond_ckpt.Platform.broadcast ())
 
-(* --- write path ------------------------------------------------------------ *)
-
-let conflict_for ?(ignore = []) t key =
-  let skip tk = List.memq tk ignore in
-  let found = ref None in
-  (try
-     Hashtbl.iter
-       (fun _ tk ->
-         if tk.key = Some key && not (skip tk) then begin
-           found := Some tk;
-           raise Exit
-         end)
-       t.in_flight
-   with Exit -> ());
-  !found
-
-(* Multi-key conflict scan: ONE pass over the in-flight table for a whole
-   key set (a membership table the caller builds once), instead of one
-   full table scan per key. Shared by the group-commit batch path and the
-   transaction validation pass; call under the frontend lock. *)
-let conflict_for_keys ?(ignore = []) t keys =
-  let skip tk = List.memq tk ignore in
-  let found = ref None in
-  (try
-     Hashtbl.iter
-       (fun _ tk ->
-         match tk.key with
-         | Some k when Hashtbl.mem keys k && not (skip tk) ->
-             found := Some (k, tk);
-             raise Exit
-         | _ -> ())
-       t.in_flight
-   with Exit -> ());
-  !found
-
-let keyset_of keys =
-  let h = Hashtbl.create (max 4 (List.length keys)) in
-  List.iter (fun k -> Hashtbl.replace h k ()) keys;
-  h
-
 (* --- per-key committed versions (OCC transactions) ----------------------- *)
 
-let bump_version t key =
-  Hashtbl.replace t.versions key
-    (1 + Option.value (Hashtbl.find_opt t.versions key) ~default:0)
-
-let bump_ticket_version t tk =
-  match tk.key with Some k -> bump_version t k | None -> ()
-
 let version_locked t key =
-  Option.value (Hashtbl.find_opt t.versions key) ~default:0
+  match Hashtbl.find t.versions key with v -> v | exception Not_found -> 0
+
+let bump_version t key = Hashtbl.replace t.versions key (1 + version_locked t key)
 
 let key_version t key =
   Platform.with_lock t.lock (fun () -> version_locked t key)
-
-let spin_ns = 200
-
-(* Spin with exponential backoff: the paper's CC spins on the commit flag;
-   under simulation each poll is a scheduler event, so backoff keeps the
-   event count bounded without materially changing observed latency. *)
-let spin_wait t pred =
-  let d = ref spin_ns in
-  while not (pred ()) do
-    t.platform.Platform.sleep !d;
-    if !d < 25_600 then d := !d * 2
-  done
-
-let wait_ticket t tk = spin_wait t (fun () -> Atomic.get tk.done_)
-
-let conflicting_ticket ?ignore_ticket t key =
-  let ignore = Option.to_list ignore_ticket in
-  Platform.with_lock t.lock (fun () -> conflict_for ~ignore t key)
-
-(* Conflict scan + committed version in ONE lock round: the hoisted
-   versioned read ([Dstore.oget_versioned]) observes the version at
-   reader entry instead of paying a second lock acquisition and scan. *)
-let conflicting_ticket_versioned ?ignore_ticket t key =
-  let ignore = Option.to_list ignore_ticket in
-  Platform.with_lock t.lock (fun () ->
-      (conflict_for ~ignore t key, version_locked t key))
-
-let wait_ticket_done t tk = wait_ticket t tk
-
-let wait_write_conflict t key =
-  let rec go () =
-    match Platform.with_lock t.lock (fun () -> conflict_for t key) with
-    | None -> ()
-    | Some tk ->
-        t.st.conflict_waits <- t.st.conflict_waits + 1;
-        wait_ticket t tk;
-        go ()
-  in
-  go ()
-
-let wait_readers t rc key =
-  spin_wait t (fun () -> Dstore_structs.Readcount.readers rc key = 0)
-
-let request_checkpoint_locked t =
-  t.ckpt_needed <- true;
-  t.cond_ckpt.Platform.signal ()
-
-let locked_append ?ignore_ticket ?(span = Span.none) t ~key ~max_slots f =
-  let ignore = Option.to_list ignore_ticket in
-  let rec attempt () =
-    t.lock.Platform.lock ();
-    match conflict_for ~ignore t key with
-    | Some tk ->
-        t.lock.Platform.unlock ();
-        t.st.conflict_waits <- t.st.conflict_waits + 1;
-        trace t (Trace.Conflict_wait key);
-        if Span.live span then begin
-          let tw = t.platform.Platform.now () in
-          wait_ticket t tk;
-          Span.stall span Span.Conflict_retry (t.platform.Platform.now () - tw)
-        end
-        else wait_ticket t tk;
-        attempt ()
-    | None ->
-        if Oplog.free_slots t.logs.(t.active_log) < max_slots then begin
-          if t.cfg.checkpoint = Config.No_checkpoint then begin
-            t.lock.Platform.unlock ();
-            raise Log_full
-          end;
-          request_checkpoint_locked t;
-          t.st.log_full_stalls <- t.st.log_full_stalls + 1;
-          trace t Trace.Log_full_stall;
-          (* cond wait releases and re-acquires the frontend lock *)
-          if Span.live span then begin
-            let tw = t.platform.Platform.now () in
-            t.cond_space.Platform.wait t.lock;
-            Span.stall span Span.Log_full (t.platform.Platform.now () - tw)
-          end
-          else t.cond_space.Platform.wait t.lock;
-          t.lock.Platform.unlock ();
-          attempt ()
-        end
-        else begin
-          trace t (Trace.Write_step (Trace.W_lock, key));
-          trace t (Trace.Write_step (Trace.W_conflict_check, key));
-          let op = f () in
-          let n = Logrec.slots_needed op in
-          assert (n <= max_slots);
-          let log = t.logs.(t.active_log) in
-          let slot, lsn = Option.get (Oplog.reserve log n) in
-          Oplog.write_record log ~slot ~lsn op;
-          t.platform.Platform.consume t.cfg.costs.log_cpu_ns;
-          let tk =
-            {
-              lsn;
-              log_id = t.active_log;
-              slot;
-              op;
-              key = Some key;
-              done_ = Atomic.make false;
-            }
-          in
-          Hashtbl.add t.in_flight lsn tk;
-          if
-            t.cfg.checkpoint <> Config.No_checkpoint
-            && float_of_int (Oplog.tail log)
-               >= t.cfg.checkpoint_threshold *. float_of_int (Oplog.capacity log)
-          then request_checkpoint_locked t;
-          Span.seg span Span.S_lock;
-          t.lock.Platform.unlock ();
-          (* The §3.4 flush protocol runs outside the critical section. *)
-          let tf = t.platform.Platform.now () in
-          Oplog.flush_record log ~slot ~lsn op;
-          t.st.append_flush_ns <-
-            t.st.append_flush_ns + (t.platform.Platform.now () - tf);
-          t.st.records_appended <- t.st.records_appended + 1;
-          trace t (Trace.Write_step (Trace.W_log_append, key));
-          Span.seg span Span.S_append;
-          tk
-        end
-  in
-  attempt ()
-
-let with_frontend_lock t f = Platform.with_lock t.lock f
-
-let set_commit_hook t h = t.commit_hook <- h
-
-let fire_commit_hook t tks =
-  match t.commit_hook with
-  | None -> ()
-  | Some h -> h (List.map (fun tk -> (tk.lsn, tk.op)) tks)
-
-let commit t tk =
-  let log_id, slot =
-    Platform.with_lock t.lock (fun () ->
-        Oplog.set_commit_word t.logs.(tk.log_id) ~slot:tk.slot;
-        Hashtbl.remove t.in_flight tk.lsn;
-        bump_ticket_version t tk;
-        (tk.log_id, tk.slot))
-  in
-  Oplog.persist_slot t.logs.(log_id) ~slot;
-  fire_commit_hook t [ tk ];
-  (match tk.key with
-  | Some k -> trace t (Trace.Write_step (Trace.W_commit, k))
-  | None -> ());
-  Atomic.set tk.done_ true
-
-(* --- group commit (§3.4 batched) ------------------------------------------- *)
-
-(* Batched steps 1–5: one lock acquisition, one conflict scan per key, one
-   space check for the whole batch, then every record is staged into
-   consecutive slots of the active log and persisted by a single
-   [Oplog.flush_batch] pass outside the lock. Keys must be pairwise
-   distinct (the store layer splits batches on repeats); conflicts against
-   OTHER writers' in-flight records are waited out exactly as in
-   {!locked_append}. *)
-let locked_append_batch ?(ignore_tickets = []) ?(span = Span.none) t items =
-  match items with
-  | [] -> []
-  | _ ->
-      let total_slots =
-        List.fold_left (fun acc (_, n, _) -> acc + n) 0 items
-      in
-      if total_slots > Oplog.capacity t.logs.(t.active_log) then
-        raise Log_full;
-      (* One membership table for the whole batch, built once: the
-         conflict check is then a single pass over the in-flight table
-         rather than one full scan per batch item. *)
-      let keys = keyset_of (List.map (fun (key, _, _) -> key) items) in
-      let rec attempt () =
-        t.lock.Platform.lock ();
-        match conflict_for_keys ~ignore:ignore_tickets t keys with
-        | Some (key, tk) ->
-            t.lock.Platform.unlock ();
-            t.st.conflict_waits <- t.st.conflict_waits + 1;
-            trace t (Trace.Conflict_wait key);
-            if Span.live span then begin
-              let tw = t.platform.Platform.now () in
-              wait_ticket t tk;
-              Span.stall span Span.Conflict_retry
-                (t.platform.Platform.now () - tw)
-            end
-            else wait_ticket t tk;
-            attempt ()
-        | None ->
-            if Oplog.free_slots t.logs.(t.active_log) < total_slots then begin
-              if t.cfg.checkpoint = Config.No_checkpoint then begin
-                t.lock.Platform.unlock ();
-                raise Log_full
-              end;
-              request_checkpoint_locked t;
-              t.st.log_full_stalls <- t.st.log_full_stalls + 1;
-              trace t Trace.Log_full_stall;
-              if Span.live span then begin
-                let tw = t.platform.Platform.now () in
-                t.cond_space.Platform.wait t.lock;
-                Span.stall span Span.Log_full
-                  (t.platform.Platform.now () - tw)
-              end
-              else t.cond_space.Platform.wait t.lock;
-              t.lock.Platform.unlock ();
-              attempt ()
-            end
-            else begin
-              let log = t.logs.(t.active_log) in
-              let log_id = t.active_log in
-              let staged =
-                List.map
-                  (fun (key, max_slots, f) ->
-                    trace t (Trace.Write_step (Trace.W_lock, key));
-                    trace t (Trace.Write_step (Trace.W_conflict_check, key));
-                    let op = f () in
-                    let n = Logrec.slots_needed op in
-                    assert (n <= max_slots);
-                    let slot, lsn = Option.get (Oplog.reserve log n) in
-                    Oplog.write_record log ~slot ~lsn op;
-                    t.platform.Platform.consume t.cfg.costs.log_cpu_ns;
-                    let tk =
-                      {
-                        lsn;
-                        log_id;
-                        slot;
-                        op;
-                        key = Some key;
-                        done_ = Atomic.make false;
-                      }
-                    in
-                    Hashtbl.add t.in_flight lsn tk;
-                    (tk, (slot, lsn, op)))
-                  items
-              in
-              if
-                t.cfg.checkpoint <> Config.No_checkpoint
-                && float_of_int (Oplog.tail log)
-                   >= t.cfg.checkpoint_threshold
-                      *. float_of_int (Oplog.capacity log)
-              then request_checkpoint_locked t;
-              Span.seg span Span.S_lock;
-              t.lock.Platform.unlock ();
-              (* One coalesced flush+fence pass for the whole batch. *)
-              let tf = t.platform.Platform.now () in
-              Oplog.flush_batch log (List.map snd staged);
-              t.st.append_flush_ns <-
-                t.st.append_flush_ns + (t.platform.Platform.now () - tf);
-              t.st.records_appended <-
-                t.st.records_appended + List.length staged;
-              List.iter
-                (fun (tk, _) ->
-                  match tk.key with
-                  | Some k -> trace t (Trace.Write_step (Trace.W_log_append, k))
-                  | None -> ())
-                staged;
-              Span.seg span Span.S_append;
-              List.map fst staged
-            end
-      in
-      attempt ()
-
-(* Batched step 9. Durability contract: no operation in a batch is
-   acknowledged durable until this returns; after a crash any subset of
-   the batch may survive (each record is individually valid-or-absent and
-   individually committed-or-not). All commit words are set under one lock
-   hold, then each log's contiguous slot span is persisted with a single
-   flush+fence — tickets are grouped by log because a concurrent
-   [swap_logs] may have re-homed part of the batch. *)
-let commit_batch t tks =
-  match tks with
-  | [] -> ()
-  | _ ->
-      let located =
-        Platform.with_lock t.lock (fun () ->
-            List.map
-              (fun tk ->
-                Oplog.set_commit_word t.logs.(tk.log_id) ~slot:tk.slot;
-                Hashtbl.remove t.in_flight tk.lsn;
-                bump_ticket_version t tk;
-                (tk.log_id, tk.slot, Logrec.slots_needed tk.op))
-              tks)
-      in
-      let spans = Hashtbl.create 2 in
-      List.iter
-        (fun (log_id, slot, n) ->
-          let lo, hi =
-            match Hashtbl.find_opt spans log_id with
-            | Some (lo, hi) -> (min lo slot, max hi (slot + n))
-            | None -> (slot, slot + n)
-          in
-          Hashtbl.replace spans log_id (lo, hi))
-        located;
-      Hashtbl.iter
-        (fun log_id (lo, hi) ->
-          Oplog.persist_span t.logs.(log_id) ~slot:lo ~slots:(hi - lo))
-        spans;
-      fire_commit_hook t tks;
-      t.st.batches_committed <- t.st.batches_committed + 1;
-      t.st.batch_records <- t.st.batch_records + List.length tks;
-      Metrics.observe t.h_batch_fill (List.length tks);
-      List.iter
-        (fun tk ->
-          (match tk.key with
-          | Some k -> trace t (Trace.Write_step (Trace.W_commit, k))
-          | None -> ());
-          Atomic.set tk.done_ true)
-        tks
-
-(* --- OCC transactions (§3.4 extended to multi-key spans) ------------------- *)
-
-(* A transaction appends its whole write-set as one contiguous log span —
-   Txn_begin, the member records, Txn_commit — staged under a single
-   frontend-lock hold (which also runs the OCC validation), then persisted
-   in two steps: the begin + members via the coalesced batch pass, and the
-   commit record alone as the span's atomic commit point. Member records
-   never receive commit words; replay visibility is governed entirely by
-   the commit record's validity (see [Oplog.resolve_txn_spans]). Every
-   span record holds an in-flight ticket until commit, so conflict scans
-   block concurrent writers on member keys and a concurrent log swap
-   re-homes the span wholesale, keeping it contiguous. *)
-
-type txn_tickets = {
-  txn_id : int;
-  frame_begin : ticket;
-  members : ticket list;
-  frame_commit : ticket;
-}
-
-let txn_members tx = tx.members
 
 let txn_stale_locked t reads =
   List.find_opt (fun (k, v) -> version_locked t k <> v) reads
@@ -1259,153 +886,294 @@ let txn_validate t ~reads =
           t.st.txns_committed <- t.st.txns_committed + 1;
           Ok ())
 
-let conflicting_ticket_any ?(ignore = []) t keys =
-  let keys = keyset_of keys in
-  Platform.with_lock t.lock (fun () -> conflict_for_keys ~ignore t keys)
+(* --- conflicts and waits --------------------------------------------------- *)
 
-let txn_append ?(ignore_tickets = []) ?(span = Span.none) t ~reads ~items =
-  let member_slots = List.fold_left (fun acc (_, n, _) -> acc + n) 0 items in
-  let total_slots = member_slots + 2 (* begin + commit framing *) in
-  if total_slots > Oplog.capacity t.logs.(t.active_log) then raise Log_full;
-  let keys = keyset_of (List.map (fun (key, _, _) -> key) items) in
-  let rec attempt () =
-    t.lock.Platform.lock ();
-    match conflict_for_keys ~ignore:ignore_tickets t keys with
-    | Some (key, tk) ->
+(* The keys a conflict scan looks for. A single key is matched directly,
+   so the one-record path and the reader probe build no table. *)
+type keyset = One of string | Set of (string, unit) Hashtbl.t
+
+let keyset_of items =
+  match items with
+  | [ (key, _, _) ] -> One key
+  | _ ->
+      let h = Hashtbl.create (max 4 (List.length items)) in
+      List.iter (fun (k, _, _) -> Hashtbl.replace h k ()) items;
+      Set h
+
+let mem_keyset ks k =
+  match ks with One key -> String.equal k key | Set h -> Hashtbl.mem h k
+
+(* ONE pass over the in-flight table for a whole key set: the first
+   in-flight record on any of the keys, with its key, skipping the
+   caller's own [ignore] records. Call under the frontend lock. *)
+let find_conflict t ~ignore ks =
+  let found = ref None in
+  (try
+     Hashtbl.iter
+       (fun _ tk ->
+         match tk.key with
+         | Some k when mem_keyset ks k && not (List.memq tk ignore) ->
+             found := Some (k, tk);
+             raise Exit
+         | _ -> ())
+       t.in_flight
+   with Exit -> ());
+  !found
+
+let spin_ns = 200
+
+(* Spin with exponential backoff: the paper's CC spins on the commit flag;
+   under simulation each poll is a scheduler event, so backoff keeps the
+   event count bounded without materially changing observed latency. *)
+let spin_wait t pred =
+  let d = ref spin_ns in
+  while not (pred ()) do
+    t.platform.Platform.sleep !d;
+    if !d < 25_600 then d := !d * 2
+  done
+
+(* Run [wait t x]; with a live span, book its duration as [cause] blame. *)
+let blamed t span cause wait x =
+  if Span.live span then begin
+    let tw = t.platform.Platform.now () in
+    wait t x;
+    Span.stall span cause (t.platform.Platform.now () - tw)
+  end
+  else wait t x
+
+let spin_ticket t tk = spin_wait t (fun () -> Atomic.get tk.done_)
+
+(* cond wait releases and re-acquires the frontend lock *)
+let wait_space t () = t.cond_space.Platform.wait t.lock
+
+let wait_ticket ?(span = Span.none) t tk =
+  blamed t span Span.Conflict_retry spin_ticket tk
+
+(* Plain reads skip the version lookup: a random probe of a table with
+   an entry per written key costs about as much as the rest of a cache
+   hit's bookkeeping. *)
+let read_probe ?(versioned = false) t ~ignore key =
+  t.lock.Platform.lock ();
+  let r =
+    match find_conflict t ~ignore (One key) with
+    | Some (_, tk) -> Error tk
+    | None -> Ok (if versioned then version_locked t key else 0)
+  in
+  t.lock.Platform.unlock ();
+  r
+
+let wait_readers t rc key =
+  spin_wait t (fun () -> Dstore_structs.Readcount.readers rc key = 0)
+
+let request_checkpoint_locked t =
+  t.ckpt_needed <- true;
+  t.cond_ckpt.Platform.signal ()
+
+(* --- append / commit (§3.4) ------------------------------------------------ *)
+
+(* One write protocol for every durability unit. [append] runs steps 1–5
+   for all of the unit's records under one frontend-lock hold and the
+   §3.4 flush outside it; [commit] runs step 9. The unit chooses only the
+   append flush and the commit persist (the interface lists them with
+   each unit's crash contract). Every staged record, framing included,
+   holds an in-flight ticket until commit, so conflict scans block
+   concurrent writers and a concurrent log swap re-homes a whole span,
+   keeping it contiguous. *)
+
+type durability = Record | Group | Txn of (string * int) list
+
+type appended = {
+  unit : durability;
+  members : ticket list;  (* item order *)
+  frames : ticket list;  (* a Txn's [Txn_begin; Txn_commit], else [] *)
+}
+
+exception Stale_read of string
+
+let tickets a = a.members
+
+(* Stage one record into [log]'s next free slots (frontend lock held). *)
+let stage t log key op =
+  let slot, lsn = Option.get (Oplog.reserve log (Logrec.slots_needed op)) in
+  Oplog.write_record log ~slot ~lsn op;
+  t.platform.Platform.consume t.cfg.costs.log_cpu_ns;
+  let tk =
+    { lsn; log_id = t.active_log; slot; op; key; done_ = Atomic.make false }
+  in
+  Hashtbl.add t.in_flight lsn tk;
+  tk
+
+(* Stage the items in order, each after its builder runs. *)
+let rec stage_items t log = function
+  | [] -> []
+  | (key, max_slots, build) :: rest ->
+      trace t (Trace.Write_step (Trace.W_lock, key));
+      trace t (Trace.Write_step (Trace.W_conflict_check, key));
+      let op = build () in
+      assert (Logrec.slots_needed op <= max_slots);
+      let tk = stage t log (Some key) op in
+      tk :: stage_items t log rest
+
+let rec trace_steps t step = function
+  | [] -> ()
+  | tk :: rest ->
+      (match tk.key with
+      | Some k -> trace t (Trace.Write_step (step, k))
+      | None -> ());
+      trace_steps t step rest
+
+(* Stage the unit (lock held, conflicts and space already checked), then
+   release the lock and run the unit's flush. *)
+let stage_and_flush t span unit items =
+  let log = t.logs.(t.active_log) in
+  let txn, opening =
+    match unit with
+    | Txn _ ->
+        let txn = t.next_txn in
+        t.next_txn <- txn + 1;
+        let b = Logrec.Txn_begin { txn; members = List.length items } in
+        (txn, [ stage t log None b ])
+    | Record | Group -> (0, [])
+  in
+  let members = stage_items t log items in
+  let frames =
+    match unit with
+    | Txn _ -> opening @ [ stage t log None (Logrec.Txn_commit { txn }) ]
+    | Record | Group -> []
+  in
+  (* What the flush persists, captured under the lock: once it is
+     released a concurrent swap may re-home these tickets. *)
+  let first = List.hd members in
+  let slot, lsn = (first.slot, first.lsn) in
+  let batch =
+    match unit with
+    | Record -> []
+    | Group | Txn _ ->
+        List.map (fun tk -> (tk.slot, tk.lsn, tk.op)) (opening @ members)
+  in
+  if
+    t.cfg.checkpoint <> Config.No_checkpoint
+    && float_of_int (Oplog.tail log)
+       >= t.cfg.checkpoint_threshold *. float_of_int (Oplog.capacity log)
+  then request_checkpoint_locked t;
+  Span.seg span Span.S_lock;
+  t.lock.Platform.unlock ();
+  (* The §3.4 flush protocol runs outside the critical section. A
+     transaction's commit record stays invalid until [commit]. *)
+  let tf = t.platform.Platform.now () in
+  (match unit with
+  | Record -> Oplog.flush_record log ~slot ~lsn first.op
+  | Group | Txn _ -> Oplog.flush_batch log batch);
+  t.st.append_flush_ns <- t.st.append_flush_ns + (t.platform.Platform.now () - tf);
+  t.st.records_appended <-
+    t.st.records_appended + List.length members + List.length frames;
+  trace_steps t Trace.W_log_append members;
+  Span.seg span Span.S_append;
+  { unit; members; frames }
+
+let rec append_attempt t span ~ignore ks ~total unit items =
+  t.lock.Platform.lock ();
+  match find_conflict t ~ignore ks with
+  | Some (key, tk) ->
+      t.lock.Platform.unlock ();
+      t.st.conflict_waits <- t.st.conflict_waits + 1;
+      trace t (Trace.Conflict_wait key);
+      blamed t span Span.Conflict_retry spin_ticket tk;
+      append_attempt t span ~ignore ks ~total unit items
+  | None when Oplog.free_slots t.logs.(t.active_log) < total ->
+      if t.cfg.checkpoint = Config.No_checkpoint then begin
         t.lock.Platform.unlock ();
-        t.st.conflict_waits <- t.st.conflict_waits + 1;
-        trace t (Trace.Conflict_wait key);
-        if Span.live span then begin
-          let tw = t.platform.Platform.now () in
-          wait_ticket t tk;
-          Span.stall span Span.Conflict_retry (t.platform.Platform.now () - tw)
-        end
-        else wait_ticket t tk;
-        attempt ()
-    | None ->
-        if Oplog.free_slots t.logs.(t.active_log) < total_slots then begin
-          if t.cfg.checkpoint = Config.No_checkpoint then begin
-            t.lock.Platform.unlock ();
-            raise Log_full
-          end;
-          request_checkpoint_locked t;
-          t.st.log_full_stalls <- t.st.log_full_stalls + 1;
-          trace t Trace.Log_full_stall;
-          if Span.live span then begin
-            let tw = t.platform.Platform.now () in
-            t.cond_space.Platform.wait t.lock;
-            Span.stall span Span.Log_full (t.platform.Platform.now () - tw)
-          end
-          else t.cond_space.Platform.wait t.lock;
-          t.lock.Platform.unlock ();
-          attempt ()
-        end
-        else begin
-          (* OCC validation shares this lock hold with the append: no
-             conflicting record is in flight (the scan above), so a read
-             is stale exactly when a commit bumped its key's version
-             after the transaction observed it. *)
+        raise Log_full
+      end;
+      request_checkpoint_locked t;
+      t.st.log_full_stalls <- t.st.log_full_stalls + 1;
+      trace t Trace.Log_full_stall;
+      blamed t span Span.Log_full wait_space ();
+      t.lock.Platform.unlock ();
+      append_attempt t span ~ignore ks ~total unit items
+  | None -> (
+      (* OCC validation shares this lock hold with the append: no
+         conflicting record is in flight (the scan above), so a read is
+         stale exactly when a commit bumped its key's version after the
+         transaction observed it. *)
+      match unit with
+      | Txn reads -> (
           match txn_stale_locked t reads with
           | Some (key, _) ->
               t.st.txns_aborted <- t.st.txns_aborted + 1;
               t.lock.Platform.unlock ();
-              Error key
-          | None ->
-              let txn_id = t.next_txn in
-              t.next_txn <- txn_id + 1;
-              let log = t.logs.(t.active_log) in
-              let log_id = t.active_log in
-              let stage key op =
-                let slot, lsn =
-                  Option.get (Oplog.reserve log (Logrec.slots_needed op))
-                in
-                Oplog.write_record log ~slot ~lsn op;
-                t.platform.Platform.consume t.cfg.costs.log_cpu_ns;
-                let tk =
-                  { lsn; log_id; slot; op; key; done_ = Atomic.make false }
-                in
-                Hashtbl.add t.in_flight lsn tk;
-                (tk, (slot, lsn, op))
-              in
-              let b =
-                stage None
-                  (Logrec.Txn_begin
-                     { txn = txn_id; members = List.length items })
-              in
-              let staged =
-                List.map
-                  (fun (key, max_slots, f) ->
-                    trace t (Trace.Write_step (Trace.W_lock, key));
-                    trace t (Trace.Write_step (Trace.W_conflict_check, key));
-                    let op = f () in
-                    assert (Logrec.slots_needed op <= max_slots);
-                    stage (Some key) op)
-                  items
-              in
-              let c = stage None (Logrec.Txn_commit { txn = txn_id }) in
-              if
-                t.cfg.checkpoint <> Config.No_checkpoint
-                && float_of_int (Oplog.tail log)
-                   >= t.cfg.checkpoint_threshold
-                      *. float_of_int (Oplog.capacity log)
-              then request_checkpoint_locked t;
-              Span.seg span Span.S_lock;
-              t.lock.Platform.unlock ();
-              (* Persist begin + members with the coalesced batch pass.
-                 The commit record's LSN word stays unwritten — the span
-                 is durable but uncommitted until [txn_commit]. *)
-              let tf = t.platform.Platform.now () in
-              Oplog.flush_batch log (snd b :: List.map snd staged);
-              t.st.append_flush_ns <-
-                t.st.append_flush_ns + (t.platform.Platform.now () - tf);
-              t.st.records_appended <-
-                t.st.records_appended + 2 + List.length staged;
-              List.iter
-                (fun (tk, _) ->
-                  match tk.key with
-                  | Some k -> trace t (Trace.Write_step (Trace.W_log_append, k))
-                  | None -> ())
-                staged;
-              Span.seg span Span.S_append;
-              Ok
-                {
-                  txn_id;
-                  frame_begin = fst b;
-                  members = List.map fst staged;
-                  frame_commit = fst c;
-                }
-        end
-  in
-  attempt ()
+              raise (Stale_read key)
+          | None -> stage_and_flush t span unit items)
+      | Record | Group -> stage_and_flush t span unit items)
 
-(* Transaction step 9: locate the commit record's current home under the
-   lock (a concurrent swap may have re-homed the span), retire every span
-   ticket, bump the write-set versions, then make the commit record valid
-   — the single persist that commits the whole span. *)
-let txn_commit ?(span = Span.none) t tx =
-  let log_id, slot, lsn =
-    Platform.with_lock t.lock (fun () ->
-        List.iter
-          (fun tk ->
-            Hashtbl.remove t.in_flight tk.lsn;
-            bump_ticket_version t tk)
-          (tx.frame_begin :: tx.members);
-        let c = tx.frame_commit in
-        Hashtbl.remove t.in_flight c.lsn;
-        (c.log_id, c.slot, c.lsn))
+let append ?(span = Span.none) t ~ignore unit items =
+  let framing =
+    match (unit, items) with
+    | Record, [ _ ] | Group, _ :: _ -> 0
+    | Txn _, _ :: _ -> 2 (* begin + commit records *)
+    | _ -> invalid_arg "Dipper.append: a Record takes one item, others one or more"
   in
-  Oplog.flush_txn_commit t.logs.(log_id) ~slot ~lsn tx.frame_commit.op;
-  fire_commit_hook t tx.members;
-  t.st.txns_committed <- t.st.txns_committed + 1;
-  t.st.txn_member_records <- t.st.txn_member_records + List.length tx.members;
+  let total = List.fold_left (fun acc (_, n, _) -> acc + n) framing items in
+  if total > Oplog.capacity t.logs.(t.active_log) then raise Log_full;
+  append_attempt t span ~ignore (keyset_of items) ~total unit items
+
+let with_frontend_lock t f = Platform.with_lock t.lock f
+
+let set_commit_hook t h = t.commit_hook <- h
+
+(* Retire a ticket at commit (frontend lock held): its commit word (single
+   and group records only), its in-flight entry, its key's version. *)
+let rec retire t unit = function
+  | [] -> ()
+  | tk :: rest ->
+      (match unit with
+      | Record | Group -> Oplog.set_commit_word t.logs.(tk.log_id) ~slot:tk.slot
+      | Txn _ -> ());
+      Hashtbl.remove t.in_flight tk.lsn;
+      (match tk.key with Some k -> bump_version t k | None -> ());
+      retire t unit rest
+
+(* Group commit persist: the contiguous slot span of the group's commit
+   words in each log, log 0 first. *)
+let persist_spans t tks =
+  let lo = [| max_int; max_int |] and hi = [| 0; 0 |] in
   List.iter
     (fun tk ->
-      (match tk.key with
-      | Some k -> trace t (Trace.Write_step (Trace.W_commit, k))
-      | None -> ());
-      Atomic.set tk.done_ true)
-    (tx.frame_begin :: tx.frame_commit :: tx.members);
-  Span.seg span Span.S_commit
+      lo.(tk.log_id) <- min lo.(tk.log_id) tk.slot;
+      hi.(tk.log_id) <- max hi.(tk.log_id) (tk.slot + Logrec.slots_needed tk.op))
+    tks;
+  for l = 0 to 1 do
+    if hi.(l) > 0 then
+      Oplog.persist_span t.logs.(l) ~slot:lo.(l) ~slots:(hi.(l) - lo.(l))
+  done
+
+let commit t a =
+  t.lock.Platform.lock ();
+  retire t a.unit a.frames;
+  retire t a.unit a.members;
+  t.lock.Platform.unlock ();
+  (* Retired tickets are out of [in_flight], so no swap moves them now. *)
+  let n = List.length a.members in
+  (match a.unit with
+  | Record ->
+      let tk = List.hd a.members in
+      Oplog.persist_slot t.logs.(tk.log_id) ~slot:tk.slot
+  | Group ->
+      persist_spans t a.members;
+      t.st.batches_committed <- t.st.batches_committed + 1;
+      t.st.batch_records <- t.st.batch_records + n;
+      Metrics.observe t.h_batch_fill n
+  | Txn _ ->
+      let c = List.nth a.frames 1 in
+      Oplog.flush_txn_commit t.logs.(c.log_id) ~slot:c.slot ~lsn:c.lsn c.op;
+      t.st.txns_committed <- t.st.txns_committed + 1;
+      t.st.txn_member_records <- t.st.txn_member_records + n);
+  (match t.commit_hook with
+  | None -> ()
+  | Some h -> h (List.map (fun tk -> (tk.lsn, tk.op)) a.members));
+  trace_steps t Trace.W_commit a.members;
+  List.iter (fun tk -> Atomic.set tk.done_ true) a.frames;
+  List.iter (fun tk -> Atomic.set tk.done_ true) a.members
 
 (* --- physical logging capture ------------------------------------------------ *)
 
@@ -1442,9 +1210,6 @@ let set_ckpt_gate t gate = t.ckpt_gate <- gate
 let log_fill t =
   let log = t.logs.(t.active_log) in
   float_of_int (Oplog.tail log) /. float_of_int (max 1 (Oplog.capacity log))
-
-let checkpoints_quiesced t =
-  Platform.with_lock t.lock (fun () -> not (t.ckpt_needed || t.ckpt_running))
 
 (* --- snapshot image transfer (replica catch-up) --------------------------- *)
 

@@ -28,7 +28,9 @@ open Dstore_pmem
 open Dstore_memory
 
 exception Log_full
-(** Raised only under [No_checkpoint] when the log is exhausted. *)
+(** Raised by {!append} when a unit can never fit the log (more slots
+    than its capacity), or under [No_checkpoint] when the log is
+    exhausted. *)
 
 type hooks = {
   format_structures : Space.t -> unit;
@@ -93,163 +95,143 @@ val shadow_space : t -> Space.t
 (** A fresh handle on the published PMEM shadow space (the checkpoint
     target the root's [current_space] selects). *)
 
-(** {1 The write path (paper Figure 4)} *)
+(** {1 The write path (paper Figure 4)}
+
+    One append/commit protocol serves every durability unit. {!append}
+    runs steps 1–5 for all of a unit's records under a single
+    frontend-lock hold: the up-front capacity check (a unit larger than
+    the whole log raises {!Log_full} at once), one conflict scan over the
+    unit's keys — an in-flight record on any of them is waited out
+    (spinning on its commit flag) and the scan retried — then the
+    log-space check, which triggers a checkpoint and waits when the active
+    log is short (raising {!Log_full} instead under [No_checkpoint]);
+    then, for a transaction, OCC validation; then each item's builder
+    (the caller's allocation steps, which return the final operation) and
+    the record's staging into consecutive slots, each holding an in-flight
+    ticket. The §3.4 flush runs after the lock is released. {!commit} is
+    step 9. With a live [span], conflict and log-full waits are booked as
+    [Conflict_retry] / [Log_full] blame, the lock hold and the flush as
+    the [S_lock] / [S_append] segments.
+
+    Items are [(key, max_slots, builder)] with pairwise-distinct keys;
+    [max_slots] bounds the record the builder may return. A [Record] takes
+    exactly one item, a [Group] or [Txn] at least one
+    ([Invalid_argument] otherwise). [ignore]
+    excludes the caller's own advisory-lock records from the conflict
+    scan, so a lock holder can write the object it locked.
+
+    {2 [Record]: one op}
+
+    Persist calls: [Oplog.flush_record] (continuation lines, fence, then
+    the LSN line), then [Oplog.persist_slot] of the commit word. Crash
+    contract: the op survives iff its commit word persisted. Fault hooks:
+    [Skip_payload_flush], [Skip_commit_persist].
+
+    {2 [Group]: a batch}
+
+    Persist calls: one coalesced [Oplog.flush_batch] (two flush+fence
+    rounds for the whole group), then one [Oplog.persist_span] per log
+    over the group's commit words (tickets are grouped by log because a
+    concurrent swap may have re-homed part of the group). Crash contract:
+    {e no member is acknowledged durable until [commit] returns; after a
+    crash any subset of the group may survive}, each member individually
+    valid-or-absent and committed-or-not, so recovery needs no batch
+    awareness. Fault hooks: [Skip_payload_flush],
+    [Skip_batch_commit_fence].
+
+    {2 [Txn reads]: an OCC transaction}
+
+    [reads] is the read-set as [(key, observed version)] pairs (see
+    {!key_version}). After the conflict scan, still under the lock, the
+    read-set is validated against the committed versions: a stale read
+    raises {!Stale_read} with nothing appended (stats count an abort).
+    Otherwise the write-set is staged as one contiguous span — [Txn_begin],
+    the members, [Txn_commit]. Persist calls: [Oplog.flush_batch] of the
+    begin + member records, then [Oplog.flush_txn_commit] of the commit
+    record alone. Crash contract: the commit record's validity {e is} the
+    commit point — recovery surfaces the members iff it persisted
+    (all-or-nothing, see [Oplog.resolve_txn_spans]); members never get
+    commit words. Every span record holds an in-flight ticket, so a
+    concurrent swap re-homes the span wholesale. Fault hooks:
+    [Skip_payload_flush], [Skip_txn_commit_record]. *)
+
+type durability =
+  | Record  (** A single op. *)
+  | Group  (** An [obatch] sub-batch: group commit. *)
+  | Txn of (string * int) list
+      (** A transaction write-set, validated against this read-set. *)
+
+type appended
+(** A unit's staged, flushed, uncommitted records. *)
+
+exception Stale_read of string
+(** Raised by a [Txn] {!append} whose read-set is stale; names the first
+    stale key. *)
+
+val append :
+  ?span:Dstore_obs.Span.t ->
+  t ->
+  ignore:ticket list ->
+  durability ->
+  (string * int * (unit -> Logrec.op)) list ->
+  appended
+(** Steps 1–5 for one durability unit (see above). *)
+
+val commit : t -> appended -> unit
+(** Step 9: retire every ticket of the unit under one lock hold (setting
+    commit words for [Record]/[Group], bumping write-set versions), run the
+    unit's commit persist, then fire the commit hook with the members. On
+    return the unit is durable and conflict waiters release. *)
+
+val tickets : appended -> ticket list
+(** The member tickets, in item order. *)
+
+val ticket_op : ticket -> Logrec.op
+(** The operation a ticket logged — builders may compute it from
+    under-lock state the caller wants back. *)
 
 val wait_readers : t -> Dstore_structs.Readcount.t -> string -> unit
 (** Poll the read count to zero (§4.4 read-write conflicts). *)
 
-val wait_write_conflict : t -> string -> unit
-(** Block while an in-flight record on this name exists — used by readers
-    for the symmetric read-after-write case. *)
+val read_probe :
+  ?versioned:bool -> t -> ignore:ticket list -> string -> (int, ticket) result
+(** The reader-entry probe, one frontend-lock round: [Error tk] when an
+    in-flight record on the key (other than [ignore]'s) must be waited
+    out first, else [Ok v]. With [~versioned:true], [v] is the key's
+    committed version, observed atomically with the scan; plain reads
+    skip that lookup and get [Ok 0]. *)
 
-val locked_append :
-  ?ignore_ticket:ticket ->
-  ?span:Dstore_obs.Span.t ->
-  t -> key:string -> max_slots:int -> (unit -> Logrec.op) -> ticket
-(** Steps 1–5 of the write pipeline: acquire the frontend lock; if an
-    in-flight record conflicts on [key], release and spin on its commit
-    flag, then retry; if the active log lacks [max_slots] free slots,
-    trigger a checkpoint and wait for space; otherwise run the caller's
-    allocation steps (which build the final operation), append the record
-    (uncommitted), release the lock, and run the §3.4 flush protocol.
-    With a live [span], conflict and log-full waits are booked as blame
-    intervals and the lock-hold / log-append phases as segments. *)
+val wait_ticket : ?span:Dstore_obs.Span.t -> t -> ticket -> unit
+(** Spin (with backoff) until the ticket's record commits; with a live
+    [span], the wait is booked as [Conflict_retry] blame. *)
 
 val with_frontend_lock : t -> (unit -> 'a) -> 'a
 (** Run under the pool lock without logging — for [oe = false] configs the
-    store also performs its structure updates inside {!locked_append}'s
-    callback; this entry point serves read-side uses. *)
+    store also performs its structure updates inside an {!append}
+    builder; this entry point serves staging and read-side uses. *)
 
-val commit : t -> ticket -> unit
-(** Step 9: persist the commit flag; conflict waiters release once the
-    record is durable. *)
-
-(** {1 Group commit}
-
-    The batched write path amortizes the per-operation flush+fence rounds:
-    a batch of N records costs two persistence rounds to append (one
-    coalesced flush+fence over the staged slot span before the LSN stores,
-    one after) and one round to commit, instead of up to 2N + N.
-
-    Durability contract: {e no operation in a batch is acknowledged
-    durable until the batch commit returns; after a crash any subset of
-    the batch may survive}. Each record keeps the single-op invariants —
-    individually valid-or-absent (reverse-order flush + CRC) and
-    individually committed-or-not — so recovery needs no batch awareness. *)
-
-val locked_append_batch :
-  ?ignore_tickets:ticket list ->
-  ?span:Dstore_obs.Span.t ->
-  t ->
-  (string * int * (unit -> Logrec.op)) list ->
-  ticket list
-(** Batched {!locked_append}: each item is [(key, max_slots, builder)].
-    Keys must be pairwise distinct. One frontend-lock acquisition covers
-    conflict scans, the whole-batch space check, and every builder +
-    record staging; the single coalesced flush pass runs outside the lock.
-    Tickets are returned in item order. [ignore_tickets] excludes the
-    callers' own advisory-lock records from the conflict scan. Raises
-    {!Log_full} if the batch can never fit the log ([No_checkpoint], or
-    total slots beyond capacity). *)
-
-val commit_batch : t -> ticket list -> unit
-(** Batched step 9: set every commit word under one lock hold, then
-    persist each log's contiguous slot span with a single flush+fence
-    (tickets are grouped by log because a concurrent swap may have
-    re-homed part of the batch). On return every ticket is durable and
-    conflict waiters release. *)
-
-val ticket_lsn : ticket -> int
+val set_commit_hook : t -> ((int * Logrec.op) list -> unit) option -> unit
+(** Oplog span export seam (dstore_repl). The hook fires after a commit's
+    closing persist with the (lsn, op) pairs of the unit's members,
+    mirroring the persist that made them durable. It runs on the
+    committing thread, outside the frontend lock, so it may take locks
+    of its own but must not call back into the engine. *)
 
 (** {1 OCC transactions}
 
-    The engine half of [lib/txn]: a transaction's write-set is appended as
-    one contiguous log span — [Txn_begin], the member records,
-    [Txn_commit] — staged under a single frontend-lock hold that also runs
-    the OCC validation. The begin + member records are persisted by the
-    coalesced batch pass; the commit record alone is persisted by
-    {!txn_commit} and its validity {e is} the transaction's commit point:
-    after a crash, recovery surfaces the members iff the commit record
-    persisted (all-or-nothing, see [Oplog.resolve_txn_spans]). Member
-    records hold in-flight tickets until commit, so concurrent writers on
-    member keys wait exactly as for single ops and a concurrent log swap
-    re-homes the span wholesale. *)
-
-type txn_tickets
-(** An appended, uncommitted transaction span. *)
-
-val txn_members : txn_tickets -> ticket list
-(** The member tickets in item order (builders may be inspected via
-    {!ticket_op}, as with the batch path). *)
-
-val txn_append :
-  ?ignore_tickets:ticket list ->
-  ?span:Dstore_obs.Span.t ->
-  t ->
-  reads:(string * int) list ->
-  items:(string * int * (unit -> Logrec.op)) list ->
-  (txn_tickets, string) result
-(** Validate + append under one lock hold. [reads] is the read-set as
-    [(key, observed version)] pairs (see {!key_version}); [items] is the
-    write-set in {!locked_append_batch} item form (pairwise-distinct
-    keys). Conflicting in-flight records on write-set keys are waited out
-    first (same machinery as the batch path); then, still under the lock,
-    the read-set is validated against current committed versions —
-    [Error key] reports the first stale read (nothing appended, stats
-    count an abort). On [Ok], the span is staged and the begin + member
-    records are persisted; the commit record stays invalid until
-    {!txn_commit}. Raises {!Log_full} if the span can never fit. *)
-
-val txn_commit : ?span:Dstore_obs.Span.t -> t -> txn_tickets -> unit
-(** The span's commit point: retire every span ticket, bump write-set
-    versions, persist the commit record (the single line whose durability
-    commits the whole transaction), fire the commit hook with the member
-    records. On return the transaction is durable and conflict waiters
-    release. *)
-
-val txn_validate : t -> reads:(string * int) list -> (unit, string) result
-(** Read-only transaction commit: validate the read-set under the
-    frontend lock; [Error key] on the first stale read. *)
+    The engine half of [lib/txn]: per-key committed versions, bumped
+    under the frontend lock at every commit on the key, and the
+    read-only commit. Write-sets commit through {!append} with a [Txn]
+    unit. *)
 
 val key_version : t -> string -> int
 (** The key's committed-version counter (bumped at every commit on the
     key). Observe it {e before} reading the value: validation then aborts
     any transaction whose read raced a commit. *)
 
-val conflicting_ticket_any :
-  ?ignore:ticket list -> t -> string list -> (string * ticket) option
-(** One-pass multi-key conflict scan (takes and releases the frontend
-    lock): the first in-flight record whose key is in the set, with its
-    key. The same single pass backs {!locked_append_batch}'s conflict
-    check and {!txn_append}'s validation — exposed for tests. *)
-
-val set_commit_hook : t -> ((int * Logrec.op) list -> unit) option -> unit
-(** Oplog span export seam (dstore_repl). The hook fires after a commit's
-    closing persist — [commit] passes its single (lsn, op) pair,
-    [commit_batch] the whole just-persisted batch, mirroring the
-    [Oplog.persist_slot]/[persist_span] span that made them durable. It
-    runs on the committing thread, outside the frontend lock, so it may
-    take locks of its own but must not call back into the engine. *)
-
-val ticket_op : ticket -> Logrec.op
-(** The operation the ticket logged — [locked_append]'s callback may build
-    it from under-lock state the caller wants back. *)
-
-val conflicting_ticket : ?ignore_ticket:ticket -> t -> string -> ticket option
-(** The in-flight record on this name, if any (takes and releases the
-    frontend lock). [ignore_ticket] excludes one specific record — the
-    caller's own advisory-lock NOOP, so a lock holder can operate on the
-    object it locked. *)
-
-val conflicting_ticket_versioned :
-  ?ignore_ticket:ticket -> t -> string -> ticket option * int
-(** {!conflicting_ticket} and {!key_version} in a single frontend-lock
-    round: the conflict scan plus the key's committed version, observed
-    atomically. Backs the hoisted single-lookup [Dstore.oget_versioned]
-    (version strictly before value, no second lock acquisition). *)
-
-val wait_ticket_done : t -> ticket -> unit
-(** Spin (with backoff) until the ticket's record commits. *)
+val txn_validate : t -> reads:(string * int) list -> (unit, string) result
+(** Read-only transaction commit: validate the read-set under the
+    frontend lock; [Error key] on the first stale read. *)
 
 (** {1 Physical logging (ablation)} *)
 
@@ -262,8 +244,6 @@ val capture_writes : t -> (unit -> unit) -> (int * string) list
 
 val checkpoint_now : t -> unit
 (** Trigger a checkpoint and block until it completes. *)
-
-val checkpoints_quiesced : t -> bool
 
 val is_checkpoint_running : t -> bool
 (** Lock-free snapshot (racy by design) — lets crash harnesses detect the
@@ -328,7 +308,7 @@ type stats = {
       (** Total time in the record-flush protocol (Table 3's log-flush
           component, together with commit flushes). *)
   mutable batches_committed : int;
-      (** Group commits completed ({!commit_batch} calls). *)
+      (** Group commits completed ([Group] {!commit} calls). *)
   mutable batch_records : int;
       (** Records committed through group commits — [batch_records /
           batches_committed] is the mean batch fill (full distribution in

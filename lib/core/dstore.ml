@@ -88,7 +88,7 @@ type t = {
   struct_lock : Platform.mutex;
       (* Serializes index/metadata updates when [oe = false]; unused (no
          contention) when observational equivalence is on. *)
-  held_locks : (string, ctx_id * Dipper.ticket) Hashtbl.t;
+  held_locks : (string, ctx_id * Dipper.appended) Hashtbl.t;
   locks_guard : Mutex.t;
   mutable collect_breakdown : bool;
   bd : breakdown;
@@ -378,11 +378,20 @@ let own_lock ctx name =
   Mutex.lock t.locks_guard;
   let r =
     match Hashtbl.find_opt t.held_locks name with
-    | Some (owner, tk) when owner = ctx.id -> Some tk
-    | _ -> None
+    | Some (owner, a) when owner = ctx.id -> Dipper.tickets a
+    | _ -> []
   in
   Mutex.unlock t.locks_guard;
   r
+
+(* The single-op durability unit: one record, steps 1-5. *)
+let append_record ?span ctx key ~max_slots build =
+  Dipper.append ?span ctx.store.engine ~ignore:(own_lock ctx key)
+    Dipper.Record
+    [ (key, max_slots, build) ]
+
+let record_op a =
+  match Dipper.tickets a with [ tk ] -> Dipper.ticket_op tk | _ -> assert false
 
 (* With observational equivalence (the default), index and metadata updates
    by non-conflicting requests run fully in parallel; the [oe = false]
@@ -469,18 +478,21 @@ let alloc_meta t =
   | Some m -> m
   | None -> raise Out_of_blocks
 
+let release_blocks t extents =
+  List.iter
+    (fun (s, l) ->
+      for b = s to s + l - 1 do
+        Bitpool.free t.h.blockpool b
+      done)
+    extents
+
 (* Commit-time releases: performed under the frontend lock so replay (which
    processes pool effects serially in LSN order) can never observe a block
    freed by record X yet allocated by a record younger than X. *)
 let release_freed t freed_meta freed_extents =
   if freed_meta >= 0 || freed_extents <> [] then
     Dipper.with_frontend_lock t.engine (fun () ->
-        List.iter
-          (fun (s, l) ->
-            for b = s to s + l - 1 do
-              Bitpool.free t.h.blockpool b
-            done)
-          freed_extents;
+        release_blocks t freed_extents;
         if freed_meta >= 0 then Bitpool.free t.h.metapool freed_meta)
 
 let now t = t.platform.Platform.now ()
@@ -559,12 +571,10 @@ let put_structures t key meta size extents freed_meta =
 
 let oput_logical ctx t span key value size =
   let nblocks = blocks_for t size in
-  let ignore_ticket = own_lock ctx key in
   let t0 = now t in
   (* Steps 1-5: lock, find the binding being replaced, allocate, log. *)
-  let ticket =
-    Dipper.locked_append ?ignore_ticket ~span t.engine ~key
-      ~max_slots:(Logrec.put_max_slots key nblocks)
+  let a =
+    append_record ~span ctx key ~max_slots:(Logrec.put_max_slots key nblocks)
       (fun () ->
         let freed_meta, freed_extents =
           match Btree.find t.h.btree key with
@@ -581,7 +591,7 @@ let oput_logical ctx t span key value size =
   in
   let t5 = now t in
   let meta, extents, freed_meta, freed_extents =
-    match Dipper.ticket_op ticket with
+    match record_op a with
     | Logrec.Put { meta; extents; freed_meta; freed_extents; _ } ->
         (meta, extents, freed_meta, freed_extents)
     | _ -> assert false
@@ -601,7 +611,7 @@ let oput_logical ctx t span key value size =
   Span.seg span Span.S_data;
   (* Step 9: commit and flush, then release the replaced allocation. *)
   let t9 = now t in
-  Dipper.commit t.engine ticket;
+  Dipper.commit t.engine a;
   Span.seg span Span.S_fence;
   release_freed t freed_meta freed_extents;
   if t.collect_breakdown then begin
@@ -617,11 +627,9 @@ let oput_logical ctx t span key value size =
    Intended for the write-only ablation workload (see DESIGN.md). *)
 let oput_physical ctx t key value size =
   let nblocks = blocks_for t size in
-  let ignore_ticket = own_lock ctx key in
   let data_extents = ref [] in
-  let ticket =
-    Dipper.locked_append ?ignore_ticket t.engine ~key ~max_slots:(t.cfg.log_slots / 4)
-      (fun () ->
+  let a =
+    append_record ctx key ~max_slots:(t.cfg.log_slots / 4) (fun () ->
         let images =
           Dipper.capture_writes t.engine (fun () ->
               let freed_meta, freed_extents =
@@ -649,7 +657,7 @@ let oput_physical ctx t key value size =
         Logrec.Phys { images })
   in
   write_data t !data_extents value size;
-  Dipper.commit t.engine ticket
+  Dipper.commit t.engine a
 
 (* [?span] lets a wrapper (the replication façade) own the span's
    lifecycle: the engine books its segments and stalls into the caller's
@@ -678,157 +686,155 @@ let oput ?span ctx key value =
    a write on this name is in flight. A writer appends its record before
    draining the read count, so it only ever waits on readers that entered
    before its record appeared — and those readers never wait on it: no
-   circular wait. *)
-let rec read_entry ?(span = Span.none) ctx key =
+   circular wait. With [~versioned:true], returns the key's committed
+   version, observed by the same lock round as the scan that found no
+   conflict. *)
+let rec read_entry ?(span = Span.none) ?versioned ctx key =
   let t = ctx.store in
   Readcount.enter_reader t.rc key;
   match
-    Dipper.conflicting_ticket ?ignore_ticket:(own_lock ctx key) t.engine key
+    Dipper.read_probe ?versioned t.engine ~ignore:(own_lock ctx key) key
   with
-  | None -> ()
-  | Some tk ->
+  | Ok version -> version
+  | Error tk ->
       Readcount.exit_reader t.rc key;
-      (if Span.live span then begin
-         let tw = now t in
-         Dipper.wait_ticket_done t.engine tk;
-         Span.stall span Span.Conflict_retry (now t - tw)
-       end
-       else Dipper.wait_ticket_done t.engine tk);
-      read_entry ~span ctx key
+      Dipper.wait_ticket ~span t.engine tk;
+      read_entry ~span ?versioned ctx key
 
 let read_exit t key = Readcount.exit_reader t.rc key
 
-let oget_into ctx key buf =
-  check_ctx ctx;
-  let t = ctx.store in
-  let tstart = now t in
-  let span = Span.start t.obs.Obs.spans Span.Get key in
-  read_entry ~span ctx key;
-  Span.seg span Span.S_ticket;
-  let result =
-    match cache_lookup t key with
-    | Some (cbuf, len) ->
-        (* Hit: one DRAM probe + one copy straight into the caller's
-           buffer — no index walk, no metadata read, no SSD. Copy out
-           BEFORE charging modeled costs: [consume] is a scheduling
-           point, and a concurrent op's fill/write-through could evict
-           and recycle the borrowed buffer during the yield. *)
-        assert (Bytes.length buf >= len);
-        Bytes.blit cbuf 0 buf 0 len;
-        t.platform.Platform.consume t.cfg.costs.lookup_ns;
-        copy_cost t len;
-        Span.seg span Span.S_index;
-        len
-    | None -> (
-        let located =
-          with_structs_read t (fun () ->
-              match Btree.find t.h.btree key with
-              | None -> None
-              | Some meta ->
-                  t.platform.Platform.consume t.cfg.costs.lookup_ns;
-                  let size, extents = Metazone.read_object t.h.zone meta in
-                  Some (size, extents))
-        in
-        Span.seg span Span.S_index;
-        match located with
-        | None -> -1
-        | Some (size, extents) ->
-            assert (Bytes.length buf >= size);
-            read_data ~span t (of_mz extents) buf size;
-            Span.seg span Span.S_data;
-            cache_fill ~span t key buf size;
-            size)
-  in
-  read_exit t key;
-  Span.finish span;
-  Metrics.observe t.h_get (now t - tstart);
-  result
+(* Where a fetch's bytes land. *)
+type sink =
+  | Fresh  (* a new buffer of the object's size *)
+  | Into of Bytes.t  (* the caller's buffer *)
+  | View of Bytes.t
+      (* a hit borrows the cache's own buffer; a miss fills this scratch *)
+  | Range of { buf : Bytes.t; size : int; off : int }
+      (* [size] bytes at [off]; a partial read never fills the cache *)
 
-(* Shared miss-or-hit value fetch inside an open reader window;
-   allocates the result buffer ([oget] / [oget_versioned]). *)
-let fetch_value ~span t key =
+(* Flatten extents into a page array for random page addressing. *)
+let pages_of_extents extents =
+  let flat = ref [] in
+  List.iter
+    (fun (s, l) ->
+      for i = 0 to l - 1 do
+        flat := (s + i) :: !flat
+      done)
+    extents;
+  Array.of_list (List.rev !flat)
+
+(* The index walk: the object's size and extents. Charges the lookup,
+   except for a byte range that starts past the end of the object. *)
+let locate t key sink =
+  with_structs_read t (fun () ->
+      match Btree.find t.h.btree key with
+      | None -> None
+      | Some meta ->
+          let ((size, _) as found) = Metazone.read_object t.h.zone meta in
+          (match sink with
+          | Range { off; _ } when off >= size -> ()
+          | _ -> t.platform.Platform.consume t.cfg.costs.lookup_ns);
+          Some found)
+
+(* The one fetch, inside an open reader window: cache probe, index walk,
+   SSD read, cache fill. Returns the buffer holding the bytes and their
+   count; [None] when the object is absent. *)
+let fetch ~span t key sink =
   match cache_lookup t key with
   | Some (cbuf, len) ->
-      (* Copy out before the [consume] yield — see [oget_into]. *)
-      let buf = Bytes.create len in
-      Bytes.blit cbuf 0 buf 0 len;
+      (* Hit: one DRAM probe, no index walk, no metadata read, no SSD.
+         Copy out BEFORE charging modeled costs: [consume] is a scheduling
+         point, and a concurrent op's fill/write-through could evict and
+         recycle the borrowed buffer during the yield. *)
+      let ((_, n) as r) =
+        match sink with
+        | Fresh -> (Bytes.sub cbuf 0 len, len)
+        | Into buf ->
+            assert (Bytes.length buf >= len);
+            Bytes.blit cbuf 0 buf 0 len;
+            (buf, len)
+        | View _ -> (cbuf, len)
+        | Range { buf; size; off } ->
+            let n = if off >= len then 0 else min size (len - off) in
+            if n > 0 then Bytes.blit cbuf off buf 0 n;
+            (buf, n)
+      in
       t.platform.Platform.consume t.cfg.costs.lookup_ns;
-      copy_cost t len;
+      (match sink with View _ -> () | _ -> copy_cost t n);
       Span.seg span Span.S_index;
-      Some buf
+      Some r
   | None -> (
-      match Btree.find t.h.btree key with
-      | None ->
-          Span.seg span Span.S_index;
-          None
-      | Some meta ->
-          t.platform.Platform.consume t.cfg.costs.lookup_ns;
-          let size, extents = Metazone.read_object t.h.zone meta in
-          Span.seg span Span.S_index;
-          let buf = Bytes.create size in
+      let located = locate t key sink in
+      Span.seg span Span.S_index;
+      match (located, sink) with
+      | None, _ -> None
+      | Some (size, _), Range { buf; off; _ } when off >= size -> Some (buf, 0)
+      | Some (size, extents), Range { buf; size = want; off } ->
+          (* Page-granular: only the pages the range touches. *)
+          let n = min want (size - off) in
+          let ps = page_size t in
+          let first_page = off / ps and last_page = (off + n - 1) / ps in
+          let scratch = Bytes.create ((last_page - first_page + 1) * ps) in
+          let pages = pages_of_extents (of_mz extents) in
+          for p = first_page to last_page do
+            Ssd.read ~span t.ssd ~page:pages.(p) scratch
+              ~off:((p - first_page) * ps)
+              ~count:1
+          done;
+          Bytes.blit scratch (off - (first_page * ps)) buf 0 n;
+          Span.seg span Span.S_data;
+          Some (buf, n)
+      | Some (size, extents), (Fresh | Into _ | View _) ->
+          let buf =
+            match sink with
+            | Into b | View b ->
+                assert (Bytes.length b >= size);
+                b
+            | Fresh | Range _ -> Bytes.create size
+          in
           read_data ~span t (of_mz extents) buf size;
           Span.seg span Span.S_data;
           cache_fill ~span t key buf size;
-          Some buf)
+          Some (buf, size))
 
-let oget ctx key =
+(* One reader window around one fetch: reader entry, fetch, exit, span
+   and latency. Returns the version the entry observed when [versioned]
+   — strictly before the value — with the fetch's result. *)
+let read_window ?versioned ctx key sink =
   check_ctx ctx;
   let t = ctx.store in
+  let kind, histo =
+    match sink with Range _ -> (Span.Read, t.h_read) | _ -> (Span.Get, t.h_get)
+  in
   let tstart = now t in
-  let span = Span.start t.obs.Obs.spans Span.Get key in
-  read_entry ~span ctx key;
+  let span = Span.start t.obs.Obs.spans kind key in
+  let version = read_entry ~span ?versioned ctx key in
   Span.seg span Span.S_ticket;
-  let result = fetch_value ~span t key in
+  let r = fetch ~span t key sink in
   read_exit t key;
   Span.finish span;
-  Metrics.observe t.h_get (now t - tstart);
-  result
+  Metrics.observe histo (now t - tstart);
+  (version, r)
+
+let oget ctx key = Option.map fst (snd (read_window ctx key Fresh))
+
+let oget_into ctx key buf =
+  match snd (read_window ctx key (Into buf)) with Some (_, n) -> n | None -> -1
 
 (* Zero-copy borrow seam for hot read loops: on a cache hit the returned
    buffer is the cache's own — valid only until ANY store mutation (a
    fill/write-through/invalidation by any client, not just the caller's
    own next op, may evict and recycle it) — so nothing is copied at all;
    on a miss, [scratch] is filled from the SSD path (warming the cache)
-   and returned. No per-op allocation either way. Callers that share the
-   store with concurrent writers must consume the view before yielding,
-   or use [oget_into]. *)
-let oget_view ctx key scratch =
-  check_ctx ctx;
-  let t = ctx.store in
-  let tstart = now t in
-  let span = Span.start t.obs.Obs.spans Span.Get key in
-  read_entry ~span ctx key;
-  Span.seg span Span.S_ticket;
-  let result =
-    match cache_lookup t key with
-    | Some (cbuf, len) ->
-        t.platform.Platform.consume t.cfg.costs.lookup_ns;
-        Span.seg span Span.S_index;
-        Some (cbuf, len)
-    | None -> (
-        match Btree.find t.h.btree key with
-        | None ->
-            Span.seg span Span.S_index;
-            None
-        | Some meta ->
-            t.platform.Platform.consume t.cfg.costs.lookup_ns;
-            let size, extents = Metazone.read_object t.h.zone meta in
-            Span.seg span Span.S_index;
-            assert (Bytes.length scratch >= size);
-            read_data ~span t (of_mz extents) scratch size;
-            Span.seg span Span.S_data;
-            cache_fill ~span t key scratch size;
-            Some (scratch, size))
-  in
-  read_exit t key;
-  Span.finish span;
-  Metrics.observe t.h_get (now t - tstart);
-  result
+   and returned. No object buffer is allocated either way. Callers that
+   share the store with concurrent writers must consume the view before
+   yielding, or use [oget_into]. *)
+let oget_view ctx key scratch = snd (read_window ctx key (View scratch))
 
 let oexists ctx key =
   check_ctx ctx;
   let t = ctx.store in
-  read_entry ctx key;
+  ignore (read_entry ctx key : int);
   let r = Btree.mem t.h.btree key in
   read_exit t key;
   r
@@ -849,10 +855,8 @@ let odelete ?span:caller_span ctx key =
     Metrics.observe t.h_del (now t - tstart);
     r
   in
-  let ticket =
-    Dipper.locked_append
-      ?ignore_ticket:(own_lock ctx key)
-      ~span t.engine ~key ~max_slots:(Logrec.put_max_slots key 1)
+  let a =
+    append_record ~span ctx key ~max_slots:(Logrec.put_max_slots key 1)
       (fun () ->
         match Btree.find t.h.btree key with
         | None -> Logrec.Noop { key }
@@ -860,9 +864,9 @@ let odelete ?span:caller_span ctx key =
             let _, exts = Metazone.read_object t.h.zone meta in
             Logrec.Delete { key; meta; extents = of_mz exts })
   in
-  match Dipper.ticket_op ticket with
+  match record_op a with
   | Logrec.Noop _ ->
-      Dipper.commit t.engine ticket;
+      Dipper.commit t.engine a;
       Span.seg span Span.S_fence;
       observe_done false
   | Logrec.Delete { meta; extents; _ } ->
@@ -873,7 +877,7 @@ let odelete ?span:caller_span ctx key =
           ignore (Btree.delete t.h.btree key));
       cache_invalidate t key;
       Span.seg span Span.S_structs;
-      Dipper.commit t.engine ticket;
+      Dipper.commit t.engine a;
       Span.seg span Span.S_fence;
       release_freed t meta extents;
       observe_done true
@@ -945,22 +949,22 @@ let par_iter t items f =
             cv.Platform.wait mu
           done)
 
-(* One sub-batch (distinct keys). Step order differs from the single-op
-   pipeline: allocation (step 4) and the SSD data write (step 8) are
-   STAGED before the batched append, so the batch's in-flight window —
-   what a conflicting writer of the same key must wait out — contains
-   only the coalesced log flush, the structure updates, and the commit
-   fence, no device time. Staging early is safe because the freshly
-   allocated blocks are unreachable until the records commit and the
-   allocators are volatile (rebuilt by recovery): a crash before the
-   append loses nothing durable. Payload writes of one batch run
-   concurrently (par_iter); steps 6–7 stay per-op between append and
-   commit, and commit-time block releases per-op after the batch
-   commit. *)
-let exec_sub_batch ctx t span ops =
-  let ignore_tickets =
-    List.filter_map (fun op -> own_lock ctx (batch_key op)) ops
-  in
+(* One multi-record durability unit over pairwise-distinct keys: an
+   [obatch] sub-batch ([Group]) or a transaction write-set ([Txn]). Step
+   order differs from the single-op pipeline: allocation (step 4) and the
+   SSD data write (step 8) are STAGED before the append, so the unit's
+   in-flight window — what a conflicting writer of the same key must wait
+   out — contains only the coalesced log flush, the structure updates,
+   and the commit persist, no device time. Staging early is safe because
+   the freshly allocated blocks are unreachable until the records commit
+   and the allocators are volatile (rebuilt by recovery): a crash before
+   the append, or a transaction's stale read, loses nothing durable.
+   Payload writes run concurrently (par_iter); steps 6–7 stay per-op
+   between append and commit, and commit-time block releases per-op
+   after the commit. Results in op order: whether the op's key existed
+   ([Bput] → [true]). *)
+let exec_unit ctx t span unit ops =
+  let own = List.concat_map (fun op -> own_lock ctx (batch_key op)) ops in
   (* Step 4, batched: one short lock hold for every allocation. *)
   let staged =
     Dipper.with_frontend_lock t.engine (fun () ->
@@ -1019,7 +1023,21 @@ let exec_sub_batch ctx t span ops =
         | Bput _, None -> assert false)
       staged
   in
-  let tickets = Dipper.locked_append_batch ~ignore_tickets ~span t.engine items in
+  let a =
+    try Dipper.append ~span t.engine ~ignore:own unit items
+    with Dipper.Stale_read _ as e ->
+      (* Nothing was appended: give back the staged allocations
+         (volatile pools — a plain free suffices). *)
+      Dipper.with_frontend_lock t.engine (fun () ->
+          List.iter
+            (function
+              | _, Some (meta, extents) ->
+                  release_blocks t extents;
+                  Bitpool.free t.h.metapool meta
+              | _, None -> ())
+            staged);
+      raise e
+  in
   let posts =
     List.map2
       (fun (op, _) tk ->
@@ -1041,10 +1059,10 @@ let exec_sub_batch ctx t span ops =
             (Some (meta, extents), true)
         | Bdelete _, Logrec.Noop _ -> (None, false)
         | _ -> assert false)
-      staged tickets
+      staged (Dipper.tickets a)
   in
   Span.seg span Span.S_structs;
-  Dipper.commit_batch t.engine tickets;
+  Dipper.commit t.engine a;
   Span.seg span Span.S_commit;
   List.iter
     (function
@@ -1075,7 +1093,7 @@ let obatch ?span:caller_span ctx ops =
                     true )
             in
             let r =
-              List.concat_map (exec_sub_batch ctx t span) (split_batches t ops)
+              List.concat_map (exec_unit ctx t span Dipper.Group) (split_batches t ops)
             in
             if owned then Span.finish span;
             r
@@ -1115,16 +1133,14 @@ let oopen ctx name ?(create = true) mode =
   (match (exists, create, mode) with
   | true, _, _ -> ()
   | false, true, (Wr | Rdwr) ->
-      let ticket =
-        Dipper.locked_append
-          ?ignore_ticket:(own_lock ctx name)
-          t.engine ~key:name ~max_slots:4 (fun () ->
+      let a =
+        append_record ctx name ~max_slots:4 (fun () ->
             (* Re-check under the lock: a racing oopen may have created it. *)
             match Btree.find t.h.btree name with
             | Some _ -> Logrec.Noop { key = name }
             | None -> Logrec.Create { key = name; meta = alloc_meta t })
       in
-      (match Dipper.ticket_op ticket with
+      (match record_op a with
       | Logrec.Create { meta; _ } ->
           Dipper.wait_readers t.engine t.rc name;
           with_structs t (fun () ->
@@ -1134,7 +1150,7 @@ let oopen ctx name ?(create = true) mode =
               ignore (Btree.insert t.h.btree name meta));
           cache_invalidate t name
       | _ -> ());
-      Dipper.commit t.engine ticket
+      Dipper.commit t.engine a
   | false, _, _ -> raise (Object_not_found name));
   {
     octx = ctx;
@@ -1154,7 +1170,7 @@ let oclose o =
 let osize o =
   check_obj o;
   let t = o.octx.store in
-  read_entry o.octx o.name;
+  ignore (read_entry o.octx o.name : int);
   let size =
     with_structs_read t (fun () ->
         match Btree.find t.h.btree o.name with
@@ -1164,80 +1180,12 @@ let osize o =
   read_exit t o.name;
   match size with None -> raise (Object_not_found o.name) | Some s -> s
 
-(* Flatten extents into a page array for random page addressing. *)
-let pages_of_extents extents =
-  let flat = ref [] in
-  List.iter
-    (fun (s, l) ->
-      for i = 0 to l - 1 do
-        flat := (s + i) :: !flat
-      done)
-    extents;
-  Array.of_list (List.rev !flat)
-
 let oread o buf ~size ~off =
   check_obj o;
   if o.mode = `Wr then invalid_arg "DStore.oread: object opened write-only";
-  let t = o.octx.store in
-  let tstart = now t in
-  let span = Span.start t.obs.Obs.spans Span.Read o.name in
-  read_entry ~span o.octx o.name;
-  Span.seg span Span.S_ticket;
-  (* Whole-object cache hit: serve the byte range straight from the
-     cached buffer (no index walk, no SSD). Misses take the page-granular
-     SSD path below and do NOT fill — a partial read can't warm a
-     whole-object cache. *)
-  match cache_lookup t o.name with
-  | Some (cbuf, osz) ->
-      let n = if off >= osz then 0 else min size (osz - off) in
-      (* Copy out before the [consume] yield — see [oget_into]. *)
-      if n > 0 then Bytes.blit cbuf off buf 0 n;
-      t.platform.Platform.consume t.cfg.costs.lookup_ns;
-      copy_cost t n;
-      Span.seg span Span.S_index;
-      read_exit t o.name;
-      Span.finish span;
-      Metrics.observe t.h_read (now t - tstart);
-      n
-  | None ->
-  let located =
-    with_structs_read t (fun () ->
-        match Btree.find t.h.btree o.name with
-        | None -> None
-        | Some meta -> Some (Metazone.read_object t.h.zone meta))
-  in
-  let result =
-    match located with
-    | None ->
-        read_exit t o.name;
-        raise (Object_not_found o.name)
-    | Some (osz, extents) ->
-        if off >= osz then begin
-          Span.seg span Span.S_index;
-          0
-        end
-        else begin
-          let n = min size (osz - off) in
-          t.platform.Platform.consume t.cfg.costs.lookup_ns;
-          Span.seg span Span.S_index;
-          let ps = page_size t in
-          let first_page = off / ps and last_page = (off + n - 1) / ps in
-          let scratch = Bytes.create ((last_page - first_page + 1) * ps) in
-          let pages = pages_of_extents (of_mz extents) in
-          for p = first_page to last_page do
-            Ssd.read ~span t.ssd ~page:pages.(p) scratch
-              ~off:((p - first_page) * ps)
-              ~count:1
-          done;
-          Bytes.blit scratch (off - (first_page * ps)) buf 0 n;
-          Span.seg span Span.S_data;
-          n
-        end
-  in
-  read_exit t o.name;
-  Span.finish span;
-  Metrics.observe t.h_read (now t - tstart);
-  result
+  match snd (read_window o.octx o.name (Range { buf; size; off })) with
+  | Some (_, n) -> n
+  | None -> raise (Object_not_found o.name)
 
 let owrite ?span:caller_span o buf ~size ~off =
   check_obj o;
@@ -1255,10 +1203,8 @@ let owrite ?span:caller_span o buf ~size ~off =
       | None -> (Span.start t.obs.Obs.spans Span.Write name, true)
     in
     let plan = ref None in
-    let ticket =
-      Dipper.locked_append
-        ?ignore_ticket:(own_lock o.octx name)
-        ~span t.engine ~key:name
+    let a =
+      append_record ~span o.octx name
         ~max_slots:(Logrec.put_max_slots name (blocks_for t size + 1))
         (fun () ->
           let meta =
@@ -1286,7 +1232,7 @@ let owrite ?span:caller_span o buf ~size ~off =
     (* Partial overwrite (even the in-place NOOP case rewrites SSD
        bytes): the cached whole-object copy is stale either way. *)
     cache_invalidate t name;
-    (match Dipper.ticket_op ticket with
+    (match record_op a with
     | Logrec.Write _ ->
         with_structs t (fun () ->
             t.platform.Platform.consume t.cfg.costs.meta_ns;
@@ -1315,7 +1261,7 @@ let owrite ?span:caller_span o buf ~size ~off =
         ~count:1
     done;
     Span.seg span Span.S_data;
-    Dipper.commit t.engine ticket;
+    Dipper.commit t.engine a;
     Span.seg span Span.S_fence;
     if owned then Span.finish span;
     Metrics.observe t.h_write (now t - tstart);
@@ -1327,14 +1273,11 @@ let owrite ?span:caller_span o buf ~size ~off =
 let olock ctx name =
   check_ctx ctx;
   let t = ctx.store in
-  let ticket =
-    Dipper.locked_append
-      ?ignore_ticket:(own_lock ctx name)
-      t.engine ~key:name ~max_slots:2 (fun () ->
-        Logrec.Noop { key = name })
+  let a =
+    append_record ctx name ~max_slots:2 (fun () -> Logrec.Noop { key = name })
   in
   Mutex.lock t.locks_guard;
-  Hashtbl.replace t.held_locks name (ctx.id, ticket);
+  Hashtbl.replace t.held_locks name (ctx.id, a);
   Mutex.unlock t.locks_guard
 
 let ounlock ctx name =
@@ -1345,7 +1288,7 @@ let ounlock ctx name =
   Hashtbl.remove t.held_locks name;
   Mutex.unlock t.locks_guard;
   match entry with
-  | Some (_, tk) -> Dipper.commit t.engine tk
+  | Some (_, a) -> Dipper.commit t.engine a
   | None -> invalid_arg (Printf.sprintf "DStore.ounlock: %S is not locked" name)
 
 (* --- OCC transaction write path (backend of lib/txn) --------------------------- *)
@@ -1358,58 +1301,20 @@ let key_version ctx key =
   check_ctx ctx;
   Dipper.key_version ctx.store.engine key
 
-(* Versioned reader entry: the retry loop of [read_entry] with the
-   conflict scan and version read fused into ONE frontend-lock round
-   ([Dipper.conflicting_ticket_versioned]). Returns the version observed
-   by the round that found no conflict. *)
-let rec read_entry_versioned ?(span = Span.none) ctx key =
-  let t = ctx.store in
-  Readcount.enter_reader t.rc key;
-  match
-    Dipper.conflicting_ticket_versioned
-      ?ignore_ticket:(own_lock ctx key) t.engine key
-  with
-  | None, v -> v
-  | Some tk, _ ->
-      Readcount.exit_reader t.rc key;
-      (if Span.live span then begin
-         let tw = now t in
-         Dipper.wait_ticket_done t.engine tk;
-         Span.stall span Span.Conflict_retry (now t - tw)
-       end
-       else Dipper.wait_ticket_done t.engine tk);
-      read_entry_versioned ~span ctx key
-
 (* Version BEFORE value: if a commit lands between the two reads, the
    recorded version is stale and validation aborts the transaction —
    never the reverse interleaving (fresh version, old value), which
-   validation could not detect.
-
-   Hoisted to a single versioned lookup: the version comes out of the
-   reader entry's own conflict-scan lock round and the value out of one
-   [fetch_value] in the same reader window — the old path paid a second
-   lock acquisition ([Dipper.key_version]) and then re-ran the whole
-   read protocol inside [oget], i.e. two frontend-lock rounds and two
-   index passes per call on the transactional hot read path. *)
+   validation could not detect. Both come out of one reader window: the
+   version from the entry's own conflict-scan lock round, the value from
+   the same fetch as [oget]. *)
 let oget_versioned ctx key =
-  check_ctx ctx;
-  let t = ctx.store in
-  let tstart = now t in
-  let span = Span.start t.obs.Obs.spans Span.Get key in
-  let v = read_entry_versioned ~span ctx key in
-  Span.seg span Span.S_ticket;
-  let result = fetch_value ~span t key in
-  read_exit t key;
-  Span.finish span;
-  Metrics.observe t.h_get (now t - tstart);
-  (v, result)
+  let v, r = read_window ~versioned:true ctx key Fresh in
+  (v, Option.map fst r)
 
-(* Commit a transaction's buffered write-set against its read-set.
-   Mirrors [exec_sub_batch] — stage allocations and SSD payloads before
-   the append (freshly allocated ids are unreachable until commit and the
-   pools are volatile, so an abort or crash needs only the in-memory
-   frees below) — but the append is [Dipper.txn_append]: OCC validation
-   and span staging under one lock hold, all-or-nothing after a crash. *)
+(* Commit a transaction's buffered write-set against its read-set: the
+   same staged pipeline as a group commit ([exec_unit]), but the unit is
+   a [Txn] — OCC validation and span staging under one lock hold,
+   all-or-nothing after a crash. *)
 let txn_commit_writes ?(span = Span.none) ctx ~reads ~writes =
   check_ctx ctx;
   let t = ctx.store in
@@ -1419,117 +1324,13 @@ let txn_commit_writes ?(span = Span.none) ctx ~reads ~writes =
   | [] ->
       (* Read-only transaction: validation is the whole commit. *)
       Dipper.txn_validate t.engine ~reads
-  | _ ->
-      let ignore_tickets =
-        List.filter_map (fun w -> own_lock ctx (txn_write_key w)) writes
+  | _ -> (
+      let ops =
+        List.map (function Tput (k, v) -> Bput (k, v) | Tdelete k -> Bdelete k) writes
       in
-      let staged =
-        Dipper.with_frontend_lock t.engine (fun () ->
-            List.map
-              (fun w ->
-                match w with
-                | Tput (key, value) ->
-                    let nblocks = blocks_for t (Bytes.length value) in
-                    let extents = alloc_blocks t nblocks in
-                    let meta = alloc_meta t in
-                    trace t (Trace.Write_step (Trace.W_alloc, key));
-                    (w, Some (meta, extents))
-                | Tdelete _ -> (w, None))
-              writes)
-      in
-      Span.seg span Span.S_stage;
-      par_iter t
-        (List.filter_map
-           (function
-             | Tput (key, value), Some (_, extents) -> Some (key, value, extents)
-             | _ -> None)
-           staged)
-        (fun (key, value, extents) ->
-          write_data ~span t extents value (Bytes.length value);
-          trace t (Trace.Write_step (Trace.W_data_write, key)));
-      Span.seg span Span.S_data;
-      let items =
-        List.map
-          (fun (w, alloc) ->
-            match (w, alloc) with
-            | Tput (key, value), Some (meta, extents) ->
-                let size = Bytes.length value in
-                ( key,
-                  Logrec.put_max_slots key (blocks_for t size),
-                  fun () ->
-                    let freed_meta, freed_extents =
-                      match Btree.find t.h.btree key with
-                      | Some old_meta ->
-                          let _, exts = Metazone.read_object t.h.zone old_meta in
-                          (old_meta, of_mz exts)
-                      | None -> (-1, [])
-                    in
-                    trace t (Trace.Write_step (Trace.W_find_old, key));
-                    Logrec.Put
-                      { key; size; meta; extents; freed_meta; freed_extents } )
-            | Tdelete key, _ ->
-                ( key,
-                  Logrec.put_max_slots key 1,
-                  fun () ->
-                    match Btree.find t.h.btree key with
-                    | None -> Logrec.Noop { key }
-                    | Some meta ->
-                        let _, exts = Metazone.read_object t.h.zone meta in
-                        Logrec.Delete { key; meta; extents = of_mz exts } )
-            | Tput _, None -> assert false)
-          staged
-      in
-      (match Dipper.txn_append ~ignore_tickets ~span t.engine ~reads ~items with
-      | Error key ->
-          (* Stale read: nothing was appended. Give back the staged
-             allocations (volatile pools — a plain free suffices). *)
-          Dipper.with_frontend_lock t.engine (fun () ->
-              List.iter
-                (function
-                  | _, Some (meta, extents) ->
-                      List.iter
-                        (fun (s, l) ->
-                          for b = s to s + l - 1 do
-                            Bitpool.free t.h.blockpool b
-                          done)
-                        extents;
-                      Bitpool.free t.h.metapool meta
-                  | _, None -> ())
-                staged);
-          Error key
-      | Ok tx ->
-          let posts =
-            List.map2
-              (fun (w, _) tk ->
-                match (w, Dipper.ticket_op tk) with
-                | ( Tput (key, value),
-                    Logrec.Put { size; meta; extents; freed_meta; freed_extents; _ }
-                  ) ->
-                    Dipper.wait_readers t.engine t.rc key;
-                    with_structs t (fun () ->
-                        put_structures t key meta size extents freed_meta);
-                    cache_write_through t key value size;
-                    Some (freed_meta, freed_extents)
-                | Tdelete key, Logrec.Delete { meta; extents; _ } ->
-                    Dipper.wait_readers t.engine t.rc key;
-                    with_structs t (fun () ->
-                        t.platform.Platform.consume t.cfg.costs.btree_ns;
-                        ignore (Btree.delete t.h.btree key));
-                    cache_invalidate t key;
-                    Some (meta, extents)
-                | Tdelete _, Logrec.Noop _ -> None
-                | _ -> assert false)
-              staged (Dipper.txn_members tx)
-          in
-          Span.seg span Span.S_structs;
-          Dipper.txn_commit ~span t.engine tx;
-          List.iter
-            (function
-              | Some (freed_meta, freed_extents) ->
-                  release_freed t freed_meta freed_extents
-              | None -> ())
-            posts;
-          Ok ())
+      match exec_unit ctx t span (Dipper.Txn reads) ops with
+      | (_ : bool list) -> Ok ()
+      | exception Dipper.Stale_read key -> Error key)
 
 (* --- introspection -------------------------------------------------------------- *)
 

@@ -123,8 +123,9 @@ val oget_view : ctx -> string -> Bytes.t -> (Bytes.t * int) option
 (** Zero-copy borrow seam for hot read loops: [oget_view ctx key scratch]
     returns [(buf, len)] where [buf] is the cache's own buffer on a hit
     (nothing copied) or [scratch] filled from the SSD path on a miss
-    (which also warms the cache). [None] if absent. No per-op allocation
-    on either path; [scratch] must be large enough for any object.
+    (which also warms the cache). [None] if absent. No object buffer is
+    allocated on either path; [scratch] must be large enough for any
+    object.
 
     The borrowed view is invalidated by {e any} store mutation — a cache
     fill, write-through, or invalidation performed by any concurrent
@@ -222,10 +223,10 @@ val oget_versioned : ctx -> string -> int * Bytes.t option
     strictly {e before} the value, so a racing commit can only make the
     observation stale (caught by validation), never silently fresh.
     Single-lookup: the version is observed by the reader entry's own
-    conflict-scan lock round ([Dipper.conflicting_ticket_versioned]) and
-    the value is fetched inside the same reader window — one
-    frontend-lock round and one index pass, where the naive composition
-    [key_version] + [oget] paid two of each. *)
+    conflict-scan lock round ([Dipper.read_probe]) and the value is
+    fetched inside the same reader window — one frontend-lock round and
+    one index pass, where the naive composition [key_version] + [oget]
+    paid two of each. *)
 
 val txn_commit_writes :
   ?span:Dstore_obs.Span.t ->

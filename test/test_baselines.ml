@@ -328,101 +328,118 @@ let test_inline_crash_mid_txn_rolls_back () =
             (match other with Some s -> s | None -> "<missing>"));
   Sim.run sim
 
+(* The acked-ops-survive oracle of the baseline crash properties. The op
+   in flight at the crash is unknown to the writer's log of acked ops, so
+   a key may show a value newer than its last acked one; and when that op
+   was a delete, its key may be absent even though its last acked op was
+   a put. Every other acked value must be present. *)
+let acked_survive ~in_flight_delete ~get acked =
+  List.for_all
+    (fun (key, expect) ->
+      match (expect, get key) with
+      | Some v, Some g when g = v -> true
+      | None, None -> true
+      | _, Some _ -> true (* newer in-flight write may have landed *)
+      | Some _, None -> in_flight_delete = Some key)
+    acked
+
+(* Run [ops] random writes against a store, crash at a random instant,
+   recover, and check the oracle. [write st key v] puts [Some v] or
+   deletes on [None]; [after_ack st] runs after each acked op. *)
+let crash_acked_survive ?(after_ack = fun _ -> ()) ~sim ~pm ~r ~keys ~ops
+    ~del_one_in ~crash_at ~create ~write ~recover ~get ~stop () =
+  let module M = Map.Make (String) in
+  let acked = ref M.empty in
+  let in_flight_delete = ref None in
+  Sim.spawn sim "w" (fun () ->
+      let st = create () in
+      for i = 0 to ops - 1 do
+        let key = Printf.sprintf "k%d" (Rng.int r keys) in
+        if Rng.int r del_one_in = 0 then begin
+          in_flight_delete := Some key;
+          write st key None;
+          in_flight_delete := None;
+          acked := M.add key None !acked
+        end
+        else begin
+          let v = Printf.sprintf "v%d" i in
+          write st key (Some v);
+          acked := M.add key (Some v) !acked
+        end;
+        after_ack st
+      done);
+  (* Crash at a random instant during the run. *)
+  Sim.run_until sim (crash_at r);
+  let snapshot = M.bindings !acked in
+  let in_flight_delete = !in_flight_delete in
+  Pmem.crash pm (Pmem.Random (Rng.split r));
+  Sim.clear_pending sim;
+  let ok = ref true in
+  Sim.spawn sim "rec" (fun () ->
+      let st = recover () in
+      ok := acked_survive ~in_flight_delete ~get:(get st) snapshot;
+      stop st);
+  Sim.run sim;
+  !ok
+
+let cached_crash_acked_survive seed =
+  let sim, p, pm, ssd =
+    sim_fixture (Cached_store.pmem_bytes cached_cfg)
+      cached_cfg.Cached_store.ssd_blocks
+  in
+  let r = Rng.create seed in
+  crash_acked_survive ~sim ~pm ~r ~keys:30 ~ops:150 ~del_one_in:5
+    ~crash_at:(fun r -> 100_000 + Rng.int r 3_000_000)
+    ~create:(fun () -> Cached_store.create p pm ssd cached_cfg)
+    ~write:(fun st key v ->
+      match v with
+      | None -> ignore (Cached_store.delete st key)
+      | Some v -> Cached_store.put st key (Bytes.of_string v))
+    ~after_ack:(fun st -> if Rng.int r 40 = 0 then Cached_store.checkpoint_now st)
+    ~recover:(fun () -> Cached_store.recover p pm ssd cached_cfg)
+    ~get:(fun st -> read_str (Cached_store.get st))
+    ~stop:Cached_store.stop ()
+
+let lsm_crash_acked_survive seed =
+  let sim, p, pm, ssd = sim_fixture (Lsm_store.pmem_bytes lsm_cfg) 8192 in
+  let r = Rng.create seed in
+  crash_acked_survive ~sim ~pm ~r ~keys:40 ~ops:200 ~del_one_in:6
+    ~crash_at:(fun r -> 50_000 + Rng.int r 2_000_000)
+    ~create:(fun () -> Lsm_store.create p pm ssd lsm_cfg)
+    ~write:(fun st key v ->
+      match v with
+      | None -> ignore (Lsm_store.delete st key)
+      | Some v -> Lsm_store.put st key (Bytes.of_string v))
+    ~recover:(fun () -> Lsm_store.recover p pm ssd lsm_cfg)
+    ~get:(fun st -> read_str (Lsm_store.get st))
+    ~stop:Lsm_store.stop ()
+
 let prop_cached_crash_acked_survive =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name:"cached: acked ops survive any crash" ~count:15
        QCheck.(int_range 0 100_000)
-       (fun seed ->
-         let sim, p, pm, ssd =
-           sim_fixture (Cached_store.pmem_bytes cached_cfg)
-             cached_cfg.Cached_store.ssd_blocks
-         in
-         let r = Rng.create seed in
-         let module M = Map.Make (String) in
-         let acked = ref M.empty in
-         let st_ref = ref None in
-         Sim.spawn sim "w" (fun () ->
-             let st = Cached_store.create p pm ssd cached_cfg in
-             st_ref := Some st;
-             for i = 0 to 149 do
-               let key = Printf.sprintf "k%d" (Rng.int r 30) in
-               if Rng.int r 5 = 0 then begin
-                 ignore (Cached_store.delete st key);
-                 acked := M.add key None !acked
-               end
-               else begin
-                 let v = Printf.sprintf "v%d" i in
-                 Cached_store.put st key (Bytes.of_string v);
-                 acked := M.add key (Some v) !acked
-               end;
-               if Rng.int r 40 = 0 then Cached_store.checkpoint_now st
-             done);
-         (* Crash at a random instant during the run. *)
-         Sim.run_until sim (100_000 + Rng.int r 3_000_000);
-         let snapshot = !acked in
-         Pmem.crash pm (Pmem.Random (Rng.split r));
-         Sim.clear_pending sim;
-         let ok = ref true in
-         Sim.spawn sim "rec" (fun () ->
-             let st = Cached_store.recover p pm ssd cached_cfg in
-             M.iter
-               (fun key expect ->
-                 let got = read_str (Cached_store.get st) key in
-                 (* The op in flight at the crash is unknown; accept any
-                    value for the single key it might touch by checking
-                    only acked-before-crash entries, where last-acked must
-                    be present unless a newer in-flight op overwrote it. *)
-                 match (expect, got) with
-                 | Some v, Some g when g = v -> ()
-                 | None, None -> ()
-                 | _, Some _ -> () (* newer in-flight write may have landed *)
-                 | Some _, None -> ok := false)
-               snapshot;
-             Cached_store.stop st);
-         Sim.run sim;
-         !ok))
+       cached_crash_acked_survive)
 
 let prop_lsm_crash_acked_survive =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name:"lsm: acked ops survive any crash" ~count:15
        QCheck.(int_range 0 100_000)
-       (fun seed ->
-         let sim, p, pm, ssd = sim_fixture (Lsm_store.pmem_bytes lsm_cfg) 8192 in
-         let r = Rng.create seed in
-         let module M = Map.Make (String) in
-         let acked = ref M.empty in
-         Sim.spawn sim "w" (fun () ->
-             let st = Lsm_store.create p pm ssd lsm_cfg in
-             for i = 0 to 199 do
-               let key = Printf.sprintf "k%d" (Rng.int r 40) in
-               if Rng.int r 6 = 0 then begin
-                 ignore (Lsm_store.delete st key);
-                 acked := M.add key None !acked
-               end
-               else begin
-                 let v = Printf.sprintf "v%d" i in
-                 Lsm_store.put st key (Bytes.of_string v);
-                 acked := M.add key (Some v) !acked
-               end
-             done);
-         Sim.run_until sim (50_000 + Rng.int r 2_000_000);
-         let snapshot = !acked in
-         Pmem.crash pm (Pmem.Random (Rng.split r));
-         Sim.clear_pending sim;
-         let ok = ref true in
-         Sim.spawn sim "rec" (fun () ->
-             let st = Lsm_store.recover p pm ssd lsm_cfg in
-             M.iter
-               (fun key expect ->
-                 match (expect, read_str (Lsm_store.get st) key) with
-                 | Some v, Some g when g = v -> ()
-                 | None, None -> ()
-                 | _, Some _ -> ()
-                 | Some _, None -> ok := false)
-               snapshot;
-             Lsm_store.stop st);
-         Sim.run sim;
-         !ok))
+       lsm_crash_acked_survive)
+
+(* Generated seeds whose crash lands after an in-flight delete has taken
+   effect: the old oracle reported the deleted key as lost. *)
+let test_pinned_seeds body seeds () =
+  List.iter
+    (fun seed ->
+      Alcotest.(check bool) (Printf.sprintf "seed %d" seed) true (body seed))
+    seeds
+
+let test_cached_in_flight_delete_seeds =
+  test_pinned_seeds cached_crash_acked_survive [ 350; 586; 1926; 2470; 2784 ]
+
+let test_lsm_in_flight_delete_seeds =
+  test_pinned_seeds lsm_crash_acked_survive
+    [ 80; 586; 1099; 1170; 1820; 1925; 2099; 2371; 2553; 2667 ]
 
 (* --- fsmeta models ------------------------------------------------------------ *)
 
@@ -475,6 +492,8 @@ let suite =
     ("inline crash mid-txn rolls back", `Quick, test_inline_crash_mid_txn_rolls_back);
     prop_cached_crash_acked_survive;
     prop_lsm_crash_acked_survive;
+    ("cached: in-flight delete seeds", `Quick, test_cached_in_flight_delete_seeds);
+    ("lsm: in-flight delete seeds", `Quick, test_lsm_in_flight_delete_seeds);
     ("fsmeta cost ordering", `Quick, test_fsmeta_costs_ordered);
     ("fsmeta names", `Quick, test_fsmeta_names);
   ]

@@ -1115,38 +1115,30 @@ let test_txn_readonly_validates () =
       check Alcotest.int "nothing appended" appended0
         (Dipper.stats (Dstore.engine st)).Dipper.records_appended)
 
-(* Satellite: the hoisted one-pass conflict scan, pinned via its test
-   seam. A staged txn span holds in-flight tickets on its member keys;
-   one scan must find them, the ignore list must exclude them, and commit
-   must retire them. *)
+(* The one-pass conflict scan, pinned through the reader probe. A staged
+   txn span holds in-flight tickets on its member keys; the probe must
+   find them, the ignore list must exclude them, and commit must retire
+   them. *)
 let test_conflict_scan_one_pass () =
   with_store (fun _ st ctx ->
       Dstore.oput ctx "cs1" (value_of_string "x");
       let e = Dstore.engine st in
       let tx =
-        match
-          Dipper.txn_append e ~reads:[]
-            ~items:
-              [
-                ("cs1", 1, fun () -> Logrec.Noop { key = "cs1" });
-                ("cs2", 1, fun () -> Logrec.Noop { key = "cs2" });
-              ]
-        with
-        | Ok tx -> tx
-        | Error k -> Alcotest.failf "unexpected stale read on %s" k
+        Dipper.append e ~ignore:[] (Dipper.Txn [])
+          [
+            ("cs1", 1, fun () -> Logrec.Noop { key = "cs1" });
+            ("cs2", 1, fun () -> Logrec.Noop { key = "cs2" });
+          ]
       in
-      (match Dipper.conflicting_ticket_any e [ "cs2"; "unrelated" ] with
-      | Some (k, _) -> check Alcotest.string "in-flight member found" "cs2" k
-      | None -> Alcotest.fail "in-flight member not found");
-      Alcotest.(check bool) "unrelated keys clean" true
-        (Dipper.conflicting_ticket_any e [ "unrelated" ] = None);
+      let clear ?(ignore = []) k = Result.is_ok (Dipper.read_probe e ~ignore k) in
+      Alcotest.(check bool) "in-flight member found" false (clear "cs2");
+      Alcotest.(check bool) "unrelated key clean" true (clear "unrelated");
       Alcotest.(check bool) "ignore list excludes own tickets" true
-        (Dipper.conflicting_ticket_any ~ignore:(Dipper.txn_members tx) e
-           [ "cs1"; "cs2" ]
-        = None);
-      Dipper.txn_commit e tx;
+        (clear ~ignore:(Dipper.tickets tx) "cs1"
+        && clear ~ignore:(Dipper.tickets tx) "cs2");
+      Dipper.commit e tx;
       Alcotest.(check bool) "tickets retired by commit" true
-        (Dipper.conflicting_ticket_any e [ "cs1"; "cs2" ] = None))
+        (clear "cs1" && clear "cs2"))
 
 let test_txn_crash_committed_survives () =
   let fx = fixture () in
@@ -1205,6 +1197,103 @@ let test_txn_torn_span_dropped () =
       Dstore.stop st);
   Sim.run fx.sim
 
+(* --- persistence-call table ------------------------------------------------ *)
+
+(* Exact [(flush_calls, fence_calls)] of one Dstore call, split into its
+   append and its commit: a persistence event belongs to the commit once
+   the op's [W_log_append] write step (step 5) is the newest trace event.
+   Only the store's own foreground work persists anything here (the log
+   is far from its checkpoint threshold), so the table pins the write
+   protocol of each durability unit exactly. *)
+let persist_calls ?(setup = fun _ -> ()) f =
+  with_store (fun fx st ctx ->
+      setup ctx;
+      let ps = Pmem.stats fx.pm in
+      let tr = (Dstore.obs st).Dstore_obs.Obs.trace in
+      let append = [| 0; 0 |] and commit = [| 0; 0 |] in
+      let fl = ref ps.Pmem.flush_calls and fe = ref ps.Pmem.fence_calls in
+      let committing () =
+        match Dstore_obs.Trace.last tr 1 with
+        | [ { Dstore_obs.Trace.ev = Dstore_obs.Trace.Write_step (s, _); _ } ] ->
+            Dstore_obs.Trace.step_index s >= 5
+        | _ -> false
+      in
+      Pmem.set_persist_hook fx.pm
+        (Some
+           (fun _ ->
+             let b = if committing () then commit else append in
+             b.(0) <- b.(0) + ps.Pmem.flush_calls - !fl;
+             b.(1) <- b.(1) + ps.Pmem.fence_calls - !fe;
+             fl := ps.Pmem.flush_calls;
+             fe := ps.Pmem.fence_calls));
+      f ctx;
+      Pmem.set_persist_hook fx.pm None;
+      ((append.(0), append.(1)), (commit.(0), commit.(1))))
+
+let test_persist_call_table () =
+  let pair = Alcotest.(pair int int) in
+  let row name ?setup f ~append ~commit =
+    let a, c = persist_calls ?setup f in
+    check pair (name ^ ": append (flushes, fences)") append a;
+    check pair (name ^ ": commit (flushes, fences)") commit c
+  in
+  let long_key = String.make 48 'm' in
+  let puts n = List.init n (fun i -> Dstore.Bput (Printf.sprintf "b%d" i, big_value i 100)) in
+  (* Single record: the LSN line alone, then the commit word's line. *)
+  row "oput, 1-slot record" (fun ctx -> Dstore.oput ctx "k" (big_value 1 100))
+    ~append:(1, 1) ~commit:(1, 1);
+  (* Continuation lines first (flush + fence), then the LSN line. *)
+  row "oput, multi-slot record"
+    (fun ctx -> Dstore.oput ctx long_key (big_value 2 100))
+    ~append:(2, 2) ~commit:(1, 1);
+  row "odelete, present key"
+    ~setup:(fun ctx -> Dstore.oput ctx "d" (big_value 3 100))
+    (fun ctx -> ignore (Dstore.odelete ctx "d"))
+    ~append:(1, 1) ~commit:(1, 1);
+  row "odelete, missing key (Noop)"
+    (fun ctx -> ignore (Dstore.odelete ctx "absent"))
+    ~append:(1, 1) ~commit:(1, 1);
+  (* Group commit: two coalesced rounds to append, one span to commit. *)
+  row "obatch of 1" (fun ctx -> ignore (Dstore.obatch ctx (puts 1)))
+    ~append:(2, 2) ~commit:(1, 1);
+  row "obatch of 8" (fun ctx -> ignore (Dstore.obatch ctx (puts 8)))
+    ~append:(2, 2) ~commit:(1, 1);
+  (* Transaction: begin + members by the batch pass, then the commit
+     record alone. *)
+  row "3-write txn"
+    (fun ctx ->
+      match
+        Dstore.txn_commit_writes ctx ~reads:[]
+          ~writes:
+            [
+              Dstore.Tput ("t0", big_value 4 100);
+              Dstore.Tput ("t1", big_value 5 100);
+              Dstore.Tdelete "t2";
+            ]
+      with
+      | Ok () -> ()
+      | Error k -> Alcotest.failf "unexpected stale read on %s" k)
+    ~append:(2, 2) ~commit:(1, 1)
+
+(* A single record that can never fit the log must fail fast, exactly
+   like a batch or a transaction span that cannot: waiting for a
+   checkpoint cannot free more than the whole log. *)
+let test_oput_beyond_log_capacity_raises () =
+  let cfg = { small_cfg with log_slots = 64 } in
+  let fx = fixture ~cfg () in
+  let outcome = ref "no result" in
+  Sim.spawn fx.sim "test" (fun () ->
+      let st = Dstore.create fx.p fx.pm fx.ssd fx.cfg in
+      let ctx = Dstore.ds_init st in
+      let v = Bytes.make (256 * Dstore.page_bytes st) 'x' in
+      (outcome :=
+         match Dstore.oput ctx "huge" v with
+         | () -> "returned"
+         | exception Dipper.Log_full -> "Log_full");
+      Dstore.stop st);
+  Sim.run_until fx.sim 1_000_000_000;
+  check Alcotest.string "oput of a record beyond capacity" "Log_full" !outcome
+
 let suite =
   [
     ("put/get", `Quick, test_put_get);
@@ -1231,6 +1320,8 @@ let suite =
     ("checkpoint_now", `Quick, test_checkpoint_now);
     ("automatic checkpoints", `Quick, test_checkpoint_automatic);
     ("No_checkpoint raises Log_full", `Quick, test_no_checkpoint_mode_log_full);
+    ("oput beyond log capacity raises Log_full", `Quick,
+     test_oput_beyond_log_capacity_raises);
     ("CoW checkpoint mode", `Quick, test_checkpoint_cow_mode);
     ( "delta clone: first full, then delta",
       `Quick,
@@ -1258,6 +1349,7 @@ let suite =
     ("obatch duplicate keys", `Quick, test_obatch_duplicate_keys);
     ("obatch under own olock", `Quick, test_obatch_locked_key);
     ("obatch fence amortization", `Quick, test_obatch_fence_amortization);
+    ("persistence calls per store call", `Quick, test_persist_call_table);
     ("obatch crash: acked batch survives", `Quick, test_obatch_crash_all_committed);
     ("txn commit visible + counted", `Quick, test_txn_commit_visible);
     ("txn read-your-writes", `Quick, test_txn_read_your_writes);
