@@ -1,10 +1,10 @@
 (* Methodology microbenchmarks (Bechamel, real wall-clock time): the CPU
    cost of the actual software path on this machine — log-record encoding,
    key compares, B-tree operations, slab allocation, the PMEM crash model,
-   CRC — independent of the simulated device times. Each row that stands
-   for a modeled cost prints measured ÷ modeled against it, so the table
-   says how far the host's real work is from the virtual time charged for
-   it, rather than asserting either is small. *)
+   CRC, the DES scheduler — independent of the simulated device times.
+   Each row that stands for a modeled cost prints measured ÷ modeled
+   against it, so the table says how far the host's real work is from the
+   virtual time charged for it, rather than asserting either is small. *)
 
 open Bechamel
 open Toolkit
@@ -20,6 +20,7 @@ let costs = Config.default_costs
 type row = {
   test : Test.t;
   modeled : (string * int) option;  (** Modeled cost it stands for, virtual ns. *)
+  calls : int;  (** Calls per timed run; the table divides by it. *)
 }
 
 let logrec_encode =
@@ -41,6 +42,7 @@ let logrec_encode =
              let b = Logrec.encode_payload op in
              ignore (Checksum.crc32c b ~pos:0 ~len:(Bytes.length b))));
     modeled = Some ("log_cpu_ns", costs.Config.log_cpu_ns);
+    calls = 1;
   }
 
 (* Keys are formatted once, outside the timed loops. *)
@@ -61,6 +63,7 @@ let btree_ops =
                incr i;
                ignore (Btree.find bt keys.(!i mod n_keys))));
       modeled = Some ("lookup_ns", costs.Config.lookup_ns);
+      calls = 1;
     };
     {
       test =
@@ -69,6 +72,7 @@ let btree_ops =
                incr i;
                ignore (Btree.insert bt keys.(!i mod n_keys) !i)));
       modeled = Some ("btree_ns", costs.Config.btree_ns);
+      calls = 1;
     };
   ]
 
@@ -85,6 +89,7 @@ let key_compare =
              incr i;
              ignore (Mem.compare_string m ~off:64 ~len:14 keys.(4995 + (!i land 7)))));
     modeled = None;
+    calls = 1;
   }
 
 let slab =
@@ -96,6 +101,7 @@ let slab =
              let o = Space.alloc space 256 in
              Space.free space o 256));
     modeled = Some ("meta_ns", costs.Config.meta_ns);
+    calls = 1;
   }
 
 (* A 4 KiB store + flush on a crash-model device: undo capture of 64
@@ -120,6 +126,7 @@ let pmem_write_flush =
              Pmem.blit_from_bytes pm page ~src:0 ~dst:off ~len:4096;
              Pmem.flush pm off 4096));
     modeled = Some ("pmem flush 4KB", flush_ns);
+    calls = 1;
   }
 
 let crc =
@@ -129,6 +136,7 @@ let crc =
       Test.make ~name:"crc32c 4KB"
         (Staged.stage (fun () -> ignore (Checksum.crc32c b ~pos:0 ~len:4096)));
     modeled = None;
+    calls = 1;
   }
 
 let histogram =
@@ -141,32 +149,104 @@ let histogram =
              incr i;
              Histogram.record h (!i * 7919 mod 1_000_000)));
     modeled = None;
+    calls = 1;
   }
 
-let run (_ : Common.opts) =
-  Common.hdr "Microbenchmarks: real CPU cost of the software path (Bechamel)";
-  let rows =
-    [ logrec_encode; key_compare ] @ btree_ops
-    @ [ slab; pmem_write_flush; crc; histogram ]
-  in
+(* The DES rows time a loop of [des_calls] waits inside one simulated
+   process per Bechamel run (Bechamel's own loop does not run well inside
+   a process). With no other process, nothing is ever due before a
+   [consume] resumes, so it advances the clock in place; a raw [Wait]
+   always takes the queue round trip (push, return to the loop, pop,
+   resume) that a consume pays when another event is due first. *)
+let des_calls = 1000
+
+let des_row name body =
+  let sim = Sim.create () in
+  let p = Sim_platform.make sim in
+  {
+    test =
+      Test.make ~name
+        (Staged.stage (fun () ->
+             Sim.spawn sim "bench.micro" (fun () ->
+                 for _ = 1 to des_calls do
+                   body p
+                 done);
+             Sim.run sim));
+    modeled = None;
+    calls = des_calls;
+  }
+
+let des_rows =
+  [
+    des_row "sim consume (no event due)" (fun p -> p.Platform.consume 1);
+    des_row "sim consume (yields)" (fun _ -> Effect.perform (Sim.Wait 1));
+  ]
+
+(* A plain read's reader-entry probe with no write in flight, on an
+   engine holding [n_keys] committed keys (built when the table runs). *)
+let read_probe_row () =
+  let sim = Sim.create () in
+  let p = Sim_platform.make sim in
+  let engine = ref None in
+  Sim.spawn sim "setup" (fun () ->
+      let st, _, _, _ =
+        Dstore_workload.Systems.dstore_store p
+          { Dstore_workload.Systems.default_scale with objects = n_keys }
+      in
+      let ctx = Dstore.ds_init st in
+      Array.iter (fun k -> Dstore.oput ctx k Bytes.empty) keys;
+      engine := Some (Dstore.engine st);
+      Dstore.stop st);
+  Sim.run sim;
+  let e = Option.get !engine in
+  let i = ref 0 in
+  {
+    test =
+      Test.make ~name:"read_probe (no writer)"
+        (Staged.stage (fun () ->
+             incr i;
+             ignore (Dipper.read_probe e ~ignore:[] keys.(!i mod n_keys))));
+    modeled = None;
+    calls = 1;
+  }
+
+(* Time [rows] with Bechamel: each row with its name and its OLS
+   estimate of ns per call. *)
+let measure rows =
   let grouped =
     Test.make_grouped ~name:"micro" ~fmt:"%s %s" (List.map (fun r -> r.test) rows)
   in
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |] in
   let instances = Instance.[ monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) () in
-  let raw = Benchmark.all cfg instances grouped in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let t = Tablefmt.create [ "benchmark"; "ns/op"; "modeled as"; "modeled ns"; "measured/modeled" ] in
-  List.iter
+  let results = Analyze.all ols Instance.monotonic_clock (Benchmark.all cfg instances grouped) in
+  List.map
     (fun r ->
       let name = Test.Elt.name (List.hd (Test.elements r.test)) in
       let est =
         match Hashtbl.find_opt results ("micro " ^ name) with
         | Some res -> (
-            match Analyze.OLS.estimates res with Some [ e ] -> Some e | _ -> None)
+            match Analyze.OLS.estimates res with
+            | Some [ e ] -> Some (e /. float_of_int r.calls)
+            | _ -> None)
         | None -> None
       in
+      (r, name, est))
+    rows
+
+let run (_ : Common.opts) =
+  Common.hdr "Microbenchmarks: real CPU cost of the software path (Bechamel)";
+  let host =
+    measure
+      ([ logrec_encode; key_compare ] @ btree_ops
+      @ [ slab; pmem_write_flush; crc; histogram ]
+      @ des_rows)
+  in
+  (* Measured last: the store's live heap slows the rows timed beside it. *)
+  let store = measure [ read_probe_row () ] in
+  let t = Tablefmt.create [ "benchmark"; "ns/op"; "modeled as"; "modeled ns"; "measured/modeled" ] in
+  List.iter
+    (fun (r, name, est) ->
       let cell f = match est with Some e -> f e | None -> "n/a" in
       match r.modeled with
       | Some (field, m) ->
@@ -179,7 +259,7 @@ let run (_ : Common.opts) =
               cell (fun e -> Tablefmt.f2 (e /. float_of_int m));
             ]
       | None -> Tablefmt.row t [ name; cell Tablefmt.f1; "-"; "-"; "-" ])
-    rows;
+    (host @ store);
   Tablefmt.print t;
   Common.note "measured = host wall ns per call; modeled = virtual ns the simulator charges";
   Common.note "(Config.costs fields, or the device's own flush latency for the pmem row)."

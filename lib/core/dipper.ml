@@ -14,12 +14,22 @@ type hooks = {
   apply : Space.t -> Logrec.op -> unit;
 }
 
+(* Per-key engine state, under the frontend lock. [version] is the
+   committed-version counter for OCC validation: bumped each time a record
+   on the key commits (including Noop commits — an in-place [owrite]
+   changes bytes under a Noop record, so any commit conservatively
+   invalidates readers). [in_flight] counts the key's staged, uncommitted
+   records, so a conflict scan walks the in-flight table only when it can
+   find something. Volatile: versions restart at 0 after recovery, which
+   is safe because read observations never survive a crash. *)
+type key_state = { name : string; mutable version : int; mutable in_flight : int }
+
 type ticket = {
   mutable lsn : int;
   mutable log_id : int;
   mutable slot : int;
   op : Logrec.op;
-  key : string option;
+  key : key_state option;
   done_ : bool Atomic.t;
 }
 
@@ -152,14 +162,7 @@ type t = {
   mutable current_space : int;
   mutable last_applied : int;
   in_flight : (int, ticket) Hashtbl.t;
-  versions : (string, int) Hashtbl.t;
-      (* Per-key committed-version counter for OCC transaction validation:
-         bumped under the frontend lock each time a record on the key
-         commits (including Noop commits — an in-place [owrite] changes
-         bytes under a Noop record, so any commit conservatively
-         invalidates readers). Volatile: versions restart at 0 after
-         recovery, which is safe because read observations never survive a
-         crash. *)
+  keys : (string, key_state) Hashtbl.t;  (* every key ever staged *)
   mutable next_txn : int;  (* transaction ids, engine-local *)
   lock : Platform.mutex;
   cond_ckpt : Platform.cond;  (* manager sleeps here *)
@@ -304,6 +307,14 @@ let space_mem t i =
 
 let shadow_space t = Space.attach (space_mem t t.current_space)
 
+let key_in_flight t key =
+  match Hashtbl.find t.keys key with ks -> ks.in_flight | exception Not_found -> 0
+
+let in_flight_keys t =
+  Hashtbl.fold
+    (fun _ tk acc -> match tk.key with Some ks -> ks.name :: acc | None -> acc)
+    t.in_flight []
+
 let make_engine ?obs platform pm (cfg : Config.t) hooks root =
   let obs =
     match obs with
@@ -363,7 +374,7 @@ let make_engine ?obs platform pm (cfg : Config.t) hooks root =
       current_space = 0;
       last_applied = 0;
       in_flight = Hashtbl.create 64;
-      versions = Hashtbl.create 256;
+      keys = Hashtbl.create 256;
       next_txn = 1;
       lock = platform.Platform.new_mutex ();
       cond_ckpt = platform.Platform.new_cond ();
@@ -864,9 +875,7 @@ let stop t =
 (* --- per-key committed versions (OCC transactions) ----------------------- *)
 
 let version_locked t key =
-  match Hashtbl.find t.versions key with v -> v | exception Not_found -> 0
-
-let bump_version t key = Hashtbl.replace t.versions key (1 + version_locked t key)
+  match Hashtbl.find t.keys key with ks -> ks.version | exception Not_found -> 0
 
 let key_version t key =
   Platform.with_lock t.lock (fun () -> version_locked t key)
@@ -892,13 +901,10 @@ let txn_validate t ~reads =
    so the one-record path and the reader probe build no table. *)
 type keyset = One of string | Set of (string, unit) Hashtbl.t
 
-let keyset_of items =
-  match items with
-  | [ (key, _, _) ] -> One key
-  | _ ->
-      let h = Hashtbl.create (max 4 (List.length items)) in
-      List.iter (fun (k, _, _) -> Hashtbl.replace h k ()) items;
-      Set h
+let key_set items =
+  let h = Hashtbl.create (max 4 (List.length items)) in
+  List.iter (fun (k, _, _) -> Hashtbl.replace h k ()) items;
+  Set h
 
 let mem_keyset ks k =
   match ks with One key -> String.equal k key | Set h -> Hashtbl.mem h k
@@ -906,19 +912,33 @@ let mem_keyset ks k =
 (* ONE pass over the in-flight table for a whole key set: the first
    in-flight record on any of the keys, with its key, skipping the
    caller's own [ignore] records. Call under the frontend lock. *)
-let find_conflict t ~ignore ks =
+let scan_in_flight t ~ignore ks =
   let found = ref None in
   (try
      Hashtbl.iter
        (fun _ tk ->
          match tk.key with
-         | Some k when mem_keyset ks k && not (List.memq tk ignore) ->
+         | Some { name = k; _ } when mem_keyset ks k && not (List.memq tk ignore) ->
              found := Some (k, tk);
              raise Exit
          | _ -> ())
        t.in_flight
    with Exit -> ());
   !found
+
+(* The conflict scan for a unit's items. An empty in-flight table, then
+   the key index, answer first: the table is walked (and a multi-key
+   unit's key set built) only when one of the keys has an in-flight
+   record, so the record found is the one the walk alone would find. *)
+let find_conflict t ~ignore items =
+  match items with
+  | _ when Hashtbl.length t.in_flight = 0 -> None
+  | [ (key, _, _) ] ->
+      if key_in_flight t key > 0 then scan_in_flight t ~ignore (One key) else None
+  | _ ->
+      if List.exists (fun (k, _, _) -> key_in_flight t k > 0) items then
+        scan_in_flight t ~ignore (key_set items)
+      else None
 
 let spin_ns = 200
 
@@ -949,15 +969,23 @@ let wait_space t () = t.cond_space.Platform.wait t.lock
 let wait_ticket ?(span = Span.none) t tk =
   blamed t span Span.Conflict_retry spin_ticket tk
 
-(* Plain reads skip the version lookup: a random probe of a table with
-   an entry per written key costs about as much as the rest of a cache
-   hit's bookkeeping. *)
+(* With nothing in flight a plain read needs no lookup at all: a random
+   probe of the key index (an entry per written key) costs about as much
+   as the rest of a cache hit's bookkeeping. Otherwise one probe yields
+   both the conflict answer and the committed version. *)
 let read_probe ?(versioned = false) t ~ignore key =
   t.lock.Platform.lock ();
   let r =
-    match find_conflict t ~ignore (One key) with
-    | Some (_, tk) -> Error tk
-    | None -> Ok (if versioned then version_locked t key else 0)
+    if (not versioned) && Hashtbl.length t.in_flight = 0 then Ok 0
+    else
+      match Hashtbl.find t.keys key with
+      | exception Not_found -> Ok 0
+      | ks -> (
+          if ks.in_flight = 0 then Ok ks.version
+          else
+            match scan_in_flight t ~ignore (One key) with
+            | Some (_, tk) -> Error tk
+            | None -> Ok ks.version)
   in
   t.lock.Platform.unlock ();
   r
@@ -992,11 +1020,27 @@ exception Stale_read of string
 
 let tickets a = a.members
 
+let key_state t key =
+  match Hashtbl.find t.keys key with
+  | ks -> ks
+  | exception Not_found ->
+      let ks = { name = key; version = 0; in_flight = 0 } in
+      Hashtbl.add t.keys key ks;
+      ks
+
 (* Stage one record into [log]'s next free slots (frontend lock held). *)
 let stage t log key op =
   let slot, lsn = Option.get (Oplog.reserve log (Logrec.slots_needed op)) in
   Oplog.write_record log ~slot ~lsn op;
   t.platform.Platform.consume t.cfg.costs.log_cpu_ns;
+  let key =
+    match key with
+    | None -> None
+    | Some k ->
+        let ks = key_state t k in
+        ks.in_flight <- ks.in_flight + 1;
+        Some ks
+  in
   let tk =
     { lsn; log_id = t.active_log; slot; op; key; done_ = Atomic.make false }
   in
@@ -1018,7 +1062,7 @@ let rec trace_steps t step = function
   | [] -> ()
   | tk :: rest ->
       (match tk.key with
-      | Some k -> trace t (Trace.Write_step (step, k))
+      | Some ks -> trace t (Trace.Write_step (step, ks.name))
       | None -> ());
       trace_steps t step rest
 
@@ -1071,15 +1115,15 @@ let stage_and_flush t span unit items =
   Span.seg span Span.S_append;
   { unit; members; frames }
 
-let rec append_attempt t span ~ignore ks ~total unit items =
+let rec append_attempt t span ~ignore ~total unit items =
   t.lock.Platform.lock ();
-  match find_conflict t ~ignore ks with
+  match find_conflict t ~ignore items with
   | Some (key, tk) ->
       t.lock.Platform.unlock ();
       t.st.conflict_waits <- t.st.conflict_waits + 1;
       trace t (Trace.Conflict_wait key);
       blamed t span Span.Conflict_retry spin_ticket tk;
-      append_attempt t span ~ignore ks ~total unit items
+      append_attempt t span ~ignore ~total unit items
   | None when Oplog.free_slots t.logs.(t.active_log) < total ->
       if t.cfg.checkpoint = Config.No_checkpoint then begin
         t.lock.Platform.unlock ();
@@ -1090,7 +1134,7 @@ let rec append_attempt t span ~ignore ks ~total unit items =
       trace t Trace.Log_full_stall;
       blamed t span Span.Log_full wait_space ();
       t.lock.Platform.unlock ();
-      append_attempt t span ~ignore ks ~total unit items
+      append_attempt t span ~ignore ~total unit items
   | None -> (
       (* OCC validation shares this lock hold with the append: no
          conflicting record is in flight (the scan above), so a read is
@@ -1115,14 +1159,15 @@ let append ?(span = Span.none) t ~ignore unit items =
   in
   let total = List.fold_left (fun acc (_, n, _) -> acc + n) framing items in
   if total > Oplog.capacity t.logs.(t.active_log) then raise Log_full;
-  append_attempt t span ~ignore (keyset_of items) ~total unit items
+  append_attempt t span ~ignore ~total unit items
 
 let with_frontend_lock t f = Platform.with_lock t.lock f
 
 let set_commit_hook t h = t.commit_hook <- h
 
 (* Retire a ticket at commit (frontend lock held): its commit word (single
-   and group records only), its in-flight entry, its key's version. *)
+   and group records only), its in-flight entry, its key's in-flight count
+   and version. *)
 let rec retire t unit = function
   | [] -> ()
   | tk :: rest ->
@@ -1130,7 +1175,11 @@ let rec retire t unit = function
       | Record | Group -> Oplog.set_commit_word t.logs.(tk.log_id) ~slot:tk.slot
       | Txn _ -> ());
       Hashtbl.remove t.in_flight tk.lsn;
-      (match tk.key with Some k -> bump_version t k | None -> ());
+      (match tk.key with
+      | Some ks ->
+          ks.in_flight <- ks.in_flight - 1;
+          ks.version <- ks.version + 1
+      | None -> ());
       retire t unit rest
 
 (* Group commit persist: the contiguous slot span of the group's commit

@@ -95,6 +95,14 @@ val shadow_space : t -> Space.t
 (** A fresh handle on the published PMEM shadow space (the checkpoint
     target the root's [current_space] selects). *)
 
+val key_in_flight : t -> string -> int
+(** The key index's count of in-flight records on the key. *)
+
+val in_flight_keys : t -> string list
+(** The key of every in-flight record that has one, by a fold over the
+    in-flight table (one entry per record, so a key repeats). With
+    {!key_in_flight}, lets a test check the index against the table. *)
+
 (** {1 The write path (paper Figure 4)}
 
     One append/commit protocol serves every durability unit. {!append}
@@ -198,8 +206,8 @@ val read_probe :
 (** The reader-entry probe, one frontend-lock round: [Error tk] when an
     in-flight record on the key (other than [ignore]'s) must be waited
     out first, else [Ok v]. With [~versioned:true], [v] is the key's
-    committed version, observed atomically with the scan; plain reads
-    skip that lookup and get [Ok 0]. *)
+    committed version, observed atomically with the scan; a plain read
+    may skip that lookup, and its [v] means nothing. *)
 
 val wait_ticket : ?span:Dstore_obs.Span.t -> t -> ticket -> unit
 (** Spin (with backoff) until the ticket's record commits; with a live

@@ -16,6 +16,8 @@ type t = {
   mutable live : int;
   mutable blocked : int;
   mutable failure : (exn * Printexc.raw_backtrace) option;
+  mutable in_process : bool;  (* a process of this sim is running *)
+  mutable deadline : int;  (* last instant the running loop may reach *)
 }
 
 let create () =
@@ -26,6 +28,8 @@ let create () =
     live = 0;
     blocked = 0;
     failure = None;
+    in_process = false;
+    deadline = max_int;
   }
 
 let now t = t.clock
@@ -38,11 +42,23 @@ let start t name f =
   let open Effect.Deep in
   ignore name;
   t.live <- t.live + 1;
+  (* [in_process] is true exactly while this process's code runs: set on
+     entry and on every resume, cleared whenever control comes back to
+     the handler. *)
+  let resume k () =
+    t.in_process <- true;
+    continue k ()
+  in
+  t.in_process <- true;
   match_with f ()
     {
-      retc = (fun () -> t.live <- t.live - 1);
+      retc =
+        (fun () ->
+          t.in_process <- false;
+          t.live <- t.live - 1);
       exnc =
         (fun e ->
+          t.in_process <- false;
           t.live <- t.live - 1;
           if t.failure = None then
             t.failure <- Some (e, Printexc.get_raw_backtrace ()));
@@ -52,20 +68,35 @@ let start t name f =
           | Wait d ->
               Some
                 (fun (k : (a, unit) continuation) ->
-                  schedule t (t.clock + max 0 d) (fun () -> continue k ()))
+                  t.in_process <- false;
+                  schedule t (t.clock + max 0 d) (resume k))
           | Suspend register ->
               Some
                 (fun (k : (a, unit) continuation) ->
+                  t.in_process <- false;
                   t.blocked <- t.blocked + 1;
                   register (fun () ->
                       t.blocked <- t.blocked - 1;
-                      schedule t t.clock (fun () -> continue k ())))
+                      schedule t t.clock (resume k)))
           | _ -> None);
     }
 
 let spawn t name f = schedule t t.clock (fun () -> start t name f)
 
-let wait _t d = Effect.perform (Wait d)
+(* A wait whose resume instant [at] comes strictly before every pending
+   event (and within the running loop's deadline) would be pushed as
+   [(at, seq + 1)] and popped straight back: every pending event is later,
+   and an equal time would win on its smaller [seq]. So it advances the
+   clock and [seq] in place instead, and the event order is the same. A
+   raw [Wait] always goes through the queue. [at] is clamped the way
+   [schedule] clamps, so an overflowing [d] resumes at once either way. *)
+let wait t d =
+  let at = max (t.clock + max 0 d) t.clock in
+  if t.in_process && at < Pqueue.min_time t.events && at <= t.deadline then begin
+    t.seq <- t.seq + 1;
+    t.clock <- at
+  end
+  else Effect.perform (Wait d)
 
 let check_failure t =
   match t.failure with
@@ -74,39 +105,28 @@ let check_failure t =
       Printexc.raise_with_backtrace e bt
   | None -> ()
 
-let run t =
-  let rec loop () =
-    match Pqueue.pop t.events with
-    | None -> ()
-    | Some (time, _, thunk) ->
-        t.clock <- time;
-        thunk ();
-        check_failure t;
-        loop ()
-  in
-  loop ()
+(* Run every event due by [deadline]. *)
+let drain t deadline =
+  t.deadline <- deadline;
+  let q = t.events in
+  while (not (Pqueue.is_empty q)) && Pqueue.min_time q <= deadline do
+    t.clock <- Pqueue.min_time q;
+    let thunk = Pqueue.pop q in
+    thunk ();
+    check_failure t
+  done
+
+let run t = drain t max_int
 
 let run_until t deadline =
-  let rec loop () =
-    match Pqueue.peek_key t.events with
-    | Some (time, _) when time <= deadline ->
-        (match Pqueue.pop t.events with
-        | Some (time, _, thunk) ->
-            t.clock <- time;
-            thunk ();
-            check_failure t;
-            loop ()
-        | None -> ())
-    | _ -> ()
-  in
-  loop ();
+  drain t deadline;
   if t.clock < deadline then t.clock <- deadline
 
 let clear_pending t =
-  let rec drain () =
-    match Pqueue.pop t.events with Some _ -> drain () | None -> ()
-  in
-  drain ();
+  while not (Pqueue.is_empty t.events) do
+    let (_ : unit -> unit) = Pqueue.pop t.events in
+    ()
+  done;
   t.live <- 0;
   t.blocked <- 0
 

@@ -33,7 +33,11 @@ val spawn : t -> string -> (unit -> unit) -> unit
 
 val wait : t -> int -> unit
 (** Advance this process's virtual time by [ns] (>= 0). Must be called
-    from process context. *)
+    from process context. When no other event is due at or before the
+    resume instant (and it is within the running {!run_until} deadline)
+    the process keeps running with the clock advanced in place; otherwise
+    it yields. The event order is the same either way; performing
+    [Wait] directly always yields. *)
 
 val run : t -> unit
 (** Execute events until none remain. Re-raises the first exception a

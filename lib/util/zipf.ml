@@ -17,10 +17,24 @@ let zeta n theta =
   done;
   !acc
 
+(* zeta(n) is [n] calls of [Float.pow], and every client of a run builds
+   a generator over the same (items, theta): keep the last value. An
+   [Atomic] keeps the memo whole under real threads. *)
+let last_zetan = Atomic.make (0, 0.0, 0.0)
+
+let zetan_of items theta =
+  let n, th, z = Atomic.get last_zetan in
+  if n = items && Float.equal th theta then z
+  else begin
+    let z = zeta items theta in
+    Atomic.set last_zetan (items, theta, z);
+    z
+  end
+
 let create ?(theta = 0.99) items =
   assert (items > 0);
   assert (theta > 0.0 && theta < 1.0);
-  let zetan = zeta items theta in
+  let zetan = zetan_of items theta in
   let zeta2 = zeta 2 theta in
   let alpha = 1.0 /. (1.0 -. theta) in
   let eta =

@@ -24,7 +24,21 @@ let write_only ?records ?value_bytes () =
 let write_only_uniform ?records ?value_bytes () =
   make "write-only-uniform" 0 ?records ?value_bytes ~uniform:true ()
 
-let key i = Printf.sprintf "user%010d" i
+(* The hot path of every generated op: a hand-rolled zero-padded
+   formatter, with [Printf] only where "%010d" would print a sign or more
+   than ten digits. *)
+let key i =
+  if i < 0 || i >= 10_000_000_000 then Printf.sprintf "user%010d" i
+  else begin
+    let b = Bytes.create 14 in
+    Bytes.blit_string "user" 0 b 0 4;
+    let n = ref i in
+    for p = 13 downto 4 do
+      Bytes.unsafe_set b p (Char.unsafe_chr (48 + (!n mod 10)));
+      n := !n / 10
+    done;
+    Bytes.unsafe_to_string b
+  end
 
 type op = Read of string | Update of string
 

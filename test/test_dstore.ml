@@ -1140,6 +1140,58 @@ let test_conflict_scan_one_pass () =
       Alcotest.(check bool) "tickets retired by commit" true
         (clear "cs1" && clear "cs2"))
 
+(* The per-key in-flight counts of the key index must equal a fold over
+   the in-flight table after every append, commit and log swap, for every
+   unit kind: single records, a group with a duplicate key, a transaction
+   (whose framing records carry no key) and an object lock. *)
+let test_key_index_matches_in_flight () =
+  with_store (fun _ st ctx ->
+      let e = Dstore.engine st in
+      let keys = [ "ix1"; "ix2"; "ix3"; "ix4"; "ix5"; "ix6" ] in
+      let audit what =
+        let table = Dipper.in_flight_keys e in
+        List.iter
+          (fun k ->
+            check Alcotest.int
+              (Printf.sprintf "%s: %s" what k)
+              (List.length (List.filter (String.equal k) table))
+              (Dipper.key_in_flight e k))
+          keys;
+        Alcotest.(check bool) (what ^ ": no other key in flight") true
+          (List.for_all (fun k -> List.mem k keys) table)
+      in
+      let noop k = (k, 1, fun () -> Logrec.Noop { key = k }) in
+      let single = Dipper.append e ~ignore:[] Dipper.Record [ noop "ix1" ] in
+      audit "single";
+      let group = Dipper.append e ~ignore:[] Dipper.Group [ noop "ix2"; noop "ix3"; noop "ix2" ] in
+      audit "group with a duplicate key";
+      check Alcotest.int "duplicate counted twice" 2 (Dipper.key_in_flight e "ix2");
+      let txn = Dipper.append e ~ignore:[] (Dipper.Txn []) [ noop "ix4"; noop "ix5" ] in
+      audit "txn";
+      Dstore.olock ctx "ix6";
+      audit "olock";
+      let moved = (Dipper.stats e).Dipper.records_moved in
+      Dstore.checkpoint_now st;
+      Alcotest.(check bool) "the swap re-homed the in-flight records" true
+        ((Dipper.stats e).Dipper.records_moved > moved);
+      audit "after the log swap";
+      Dipper.commit e group;
+      audit "group committed";
+      check Alcotest.int "both ix2 records bumped the version" 2 (Dipper.key_version e "ix2");
+      let again = Dipper.append e ~ignore:[] Dipper.Record [ noop "ix2" ] in
+      audit "second single on a committed key";
+      Dipper.commit e single;
+      Dipper.commit e txn;
+      audit "single and txn committed";
+      Dstore.ounlock ctx "ix6";
+      Dipper.commit e again;
+      audit "all committed";
+      List.iter
+        (fun k ->
+          Alcotest.(check bool) (k ^ " clear") true
+            (Result.is_ok (Dipper.read_probe ~versioned:true e ~ignore:[] k)))
+        keys)
+
 let test_txn_crash_committed_survives () =
   let fx = fixture () in
   Sim.spawn fx.sim "main" (fun () ->
@@ -1358,6 +1410,7 @@ let suite =
     ("txn retry wrapper recommits", `Quick, test_txn_retry_commits);
     ("txn read-only validates", `Quick, test_txn_readonly_validates);
     ("txn conflict scan one-pass", `Quick, test_conflict_scan_one_pass);
+    ("key index matches the in-flight table", `Quick, test_key_index_matches_in_flight);
     ("txn crash: committed span survives", `Quick, test_txn_crash_committed_survives);
     ("txn crash: torn span dropped", `Quick, test_txn_torn_span_dropped);
     prop_crash_recovery_observational_equivalence;

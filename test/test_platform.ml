@@ -95,6 +95,150 @@ let test_process_accounting () =
   check Alcotest.int "none blocked" 0 (Sim.blocked_processes sim);
   check Alcotest.int "none live" 0 (Sim.live_processes sim)
 
+(* --- in-place waits -------------------------------------------------------- *)
+
+(* A wait whose resume instant lies beyond the [run_until] deadline must
+   stay queued even when no other event is due before it. *)
+let test_wait_across_deadline_stays_pending () =
+  let sim = Sim.create () in
+  let steps = ref [] in
+  Sim.spawn sim "p" (fun () ->
+      Sim.wait sim 10;
+      steps := ("a", Sim.now sim) :: !steps;
+      Sim.wait sim 40;
+      steps := ("b", Sim.now sim) :: !steps;
+      Sim.wait sim 100;
+      steps := ("c", Sim.now sim) :: !steps);
+  Sim.run_until sim 50;
+  check Alcotest.(list (pair string int)) "a, and b at the deadline" [ ("b", 50); ("a", 10) ] !steps;
+  check Alcotest.int "clock at the deadline" 50 (Sim.now sim);
+  check Alcotest.int "still live" 1 (Sim.live_processes sim);
+  Sim.run sim;
+  check Alcotest.(list (pair string int)) "c resumed after" [ ("c", 150); ("b", 50); ("a", 10) ] !steps
+
+let test_wait_outside_process_raises () =
+  let sim = Sim.create () in
+  let raises () =
+    match Sim.wait sim 5 with () -> false | exception Effect.Unhandled _ -> true
+  in
+  Alcotest.(check bool) "before any run" true (raises ());
+  Sim.spawn sim "p" (fun () -> Sim.wait sim 1);
+  Sim.run sim;
+  Alcotest.(check bool) "after a run" true (raises ());
+  check Alcotest.int "clock untouched" 1 (Sim.now sim)
+
+(* Random programs record the same (process, step, time) trace when their
+   waits go through [Sim.wait] (in place when nothing else is due) as when
+   they perform the raw [Wait] effect, which always queues. *)
+type step =
+  | Pause of int
+  | Crit of int  (** mutex-held wait *)
+  | Use of int  (** [Resource.use] of a 2-server resource *)
+  | Signal  (** bump a generation and broadcast *)
+  | Await  (** wait for the next generation *)
+  | Spawn of step list
+
+let rec pp_step = function
+  | Pause d -> Printf.sprintf "P%d" d
+  | Crit d -> Printf.sprintf "C%d" d
+  | Use d -> Printf.sprintf "U%d" d
+  | Signal -> "S"
+  | Await -> "A"
+  | Spawn p -> "[" ^ String.concat " " (List.map pp_step p) ^ "]"
+
+let gen_program =
+  let open QCheck.Gen in
+  let d = int_range 0 50 in
+  let rec steps depth =
+    list_size (int_range 0 6)
+      (frequency
+         ([
+            (4, map (fun d -> Pause d) d);
+            (2, map (fun d -> Crit d) d);
+            (2, map (fun d -> Use d) d);
+            (1, return Signal);
+            (1, return Await);
+          ]
+         @ if depth > 0 then [ (1, map (fun p -> Spawn p) (steps (depth - 1))) ] else []))
+  in
+  let deadlines =
+    opt (map (List.sort_uniq compare) (list_size (int_range 1 4) (int_range 0 300)))
+  in
+  pair (list_size (int_range 1 4) (steps 2)) deadlines
+
+let print_program (roots, deadlines) =
+  let progs = String.concat " | " (List.map (fun p -> pp_step (Spawn p)) roots) in
+  match deadlines with
+  | None -> progs ^ " / run"
+  | Some ds -> progs ^ " / run_until " ^ String.concat "," (List.map string_of_int ds)
+
+let exec_program ~in_place (roots, deadlines) =
+  let sim = Sim.create () in
+  let m = Sim.Mutex.create sim and c = Sim.Cond.create sim in
+  let r = Sim.Resource.create sim ~capacity:2 in
+  let generation = ref 0 and trace = ref [] and next_id = ref 0 in
+  let wait d = if in_place then Sim.wait sim d else Effect.perform (Sim.Wait d) in
+  let rec spawn steps =
+    let id = !next_id in
+    incr next_id;
+    Sim.spawn sim "p" (fun () ->
+        List.iteri
+          (fun i s ->
+            step s;
+            trace := (id, i, Sim.now sim) :: !trace)
+          steps)
+  and step = function
+    | Pause d -> wait d
+    | Crit d ->
+        Sim.Mutex.lock m;
+        wait d;
+        Sim.Mutex.unlock m
+    | Use d ->
+        if in_place then Sim.Resource.use r ~service_ns:d
+        else begin
+          Sim.Resource.acquire r;
+          wait d;
+          Sim.Resource.release r
+        end
+    | Signal ->
+        Sim.Mutex.lock m;
+        incr generation;
+        Sim.Cond.broadcast c;
+        Sim.Mutex.unlock m
+    | Await ->
+        Sim.Mutex.lock m;
+        let g = !generation in
+        while !generation = g do
+          Sim.Cond.wait c m
+        done;
+        Sim.Mutex.unlock m
+    | Spawn p -> spawn p
+  in
+  List.iter spawn roots;
+  let snap () = (List.rev !trace, Sim.now sim) in
+  match deadlines with
+  | None ->
+      Sim.run sim;
+      [ snap () ]
+  | Some ds ->
+      let snaps =
+        List.map
+          (fun d ->
+            Sim.run_until sim d;
+            snap ())
+          ds
+      in
+      (* Power loss, then a fresh process on the same scheduler. *)
+      Sim.clear_pending sim;
+      spawn (List.hd roots);
+      Sim.run sim;
+      snaps @ [ snap () ]
+
+let prop_in_place_wait_same_trace =
+  QCheck.Test.make ~name:"in-place waits keep the event order" ~count:500
+    (QCheck.make ~print:print_program gen_program)
+    (fun prog -> exec_program ~in_place:true prog = exec_program ~in_place:false prog)
+
 (* --- mutex -------------------------------------------------------------- *)
 
 let test_mutex_exclusion () =
@@ -428,6 +572,10 @@ let suite =
     ("run_until", `Quick, test_run_until);
     ("exception propagates", `Quick, test_exception_propagates);
     ("process accounting", `Quick, test_process_accounting);
+    ("wait across run_until deadline stays pending", `Quick,
+      test_wait_across_deadline_stays_pending);
+    ("wait outside a process raises", `Quick, test_wait_outside_process_raises);
+    QCheck_alcotest.to_alcotest prop_in_place_wait_same_trace;
     ("mutex exclusion", `Quick, test_mutex_exclusion);
     ("mutex FIFO", `Quick, test_mutex_fifo);
     ("mutex locked query", `Quick, test_mutex_locked_query);

@@ -30,6 +30,43 @@ let test_rng_copy_replays () =
   let b = Rng.copy a in
   check Alcotest.int64 "copy replays" (Rng.next a) (Rng.next b)
 
+(* The first 8 draws of seeds 0, 1 and 42, fixed so a change to the
+   generator's representation provably keeps every stream. *)
+let rng_pins =
+  [
+    ( 0,
+      [ 0xe220a8397b1dcdafL; 0x6e789e6aa1b965f4L; 0x6c45d188009454fL; 0xf88bb8a8724c81ecL;
+        0x1b39896a51a8749bL; 0x53cb9f0c747ea2eaL; 0x2c829abe1f4532e1L; 0xc584133ac916ab3cL ],
+      [ 303767; 177850; 772839; 271222; 47373; 581045; 153456; 173470 ],
+      [ 0x1.c4415072f63b9p-1; 0x1.b9e279aa86e58p-2; 0x1.b1174620025p-6; 0x1.f1177150e499p-1;
+        0x1.b39896a51a87p-4; 0x1.4f2e7c31d1fa8p-2; 0x1.6414d5f0fa298p-3; 0x1.8b082675922d5p-1 ] );
+    ( 1,
+      [ 0xbfef8030ddc2d772L; 0x5f552ce482f2aa47L; 0x70335fc3daf3d8a7L; 0xf440fe3b62c79d2cL;
+        0x33ba2f29e7c168bbL; 0x98843f48a94b7866L; 0x74ad4c24d41a25f8L; 0x2f9a1f13648eab6eL ],
+      [ 700985; 333347; 423763; 836502; 441757; 671795; 800572; 982647 ],
+      [ 0x1.7fdf0061bb85ap-1; 0x1.7d54b3920bcaap-2; 0x1.c0cd7f0f6bcf6p-2; 0x1.e881fc76c58f3p-1;
+        0x1.9dd1794f3e0b4p-3; 0x1.31087e915296fp-1; 0x1.d2b5309350688p-2; 0x1.7cd0f89b24754p-3 ] );
+    ( 42,
+      [ 0x989b3f130a063869L; 0x290db4bf2570ded7L; 0x2a990be63a01b2d5L; 0xc4b6b24ef01890eL;
+        0xfb16a06e52ec10a7L; 0x3c30fc5fd50692c3L; 0x4782c4b4c4fdf7c9L; 0x272404a0a3926552L ],
+      [ 153140; 95595; 638570; 642183; 797779; 929057; 702244; 165993 ],
+      [ 0x1.31367e26140c7p-1; 0x1.486da5f92b86cp-3; 0x1.54c85f31d00d8p-3; 0x1.896d649de031p-5;
+        0x1.f62d40dca5d82p-1; 0x1.e187e2fea8348p-3; 0x1.1e0b12d313f7cp-2; 0x1.392025051c93p-3 ] );
+  ]
+
+let test_rng_pinned_streams () =
+  List.iter
+    (fun (seed, nexts, ints, floats) ->
+      let draw f =
+        let r = Rng.create seed in
+        List.init 8 (fun _ -> f r)
+      in
+      let name what = Printf.sprintf "seed %d: %s" seed what in
+      check Alcotest.(list int64) (name "next") nexts (draw Rng.next);
+      check Alcotest.(list int) (name "int") ints (draw (fun r -> Rng.int r 1_000_000));
+      check Alcotest.(list (float 0.0)) (name "float") floats (draw Rng.float))
+    rng_pins
+
 let test_rng_int_bounds () =
   let r = Rng.create 3 in
   for _ = 1 to 10_000 do
@@ -270,15 +307,15 @@ let test_pqueue_order () =
   Pqueue.push q 1 1 "b";
   Pqueue.push q 4 0 "d";
   let order = ref [] in
-  let rec drain () =
-    match Pqueue.pop q with
-    | Some (_, _, v) ->
-        order := v :: !order;
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  check Alcotest.(list string) "sorted by (p, s)" [ "a"; "b"; "c"; "d"; "e" ]
+  while not (Pqueue.is_empty q) do
+    let t = Pqueue.min_time q in
+    let v = Pqueue.pop q in
+    order := (t, v) :: !order
+  done;
+  check
+    Alcotest.(list (pair int string))
+    "sorted by (time, seq)"
+    [ (1, "a"); (1, "b"); (3, "c"); (4, "d"); (5, "e") ]
     (List.rev !order)
 
 let test_pqueue_fifo_ties () =
@@ -287,16 +324,20 @@ let test_pqueue_fifo_ties () =
     Pqueue.push q 7 i i
   done;
   for i = 0 to 99 do
-    match Pqueue.pop q with
-    | Some (_, _, v) -> check Alcotest.int "fifo among ties" i v
-    | None -> Alcotest.fail "queue exhausted early"
+    check Alcotest.int "min_time" 7 (Pqueue.min_time q);
+    check Alcotest.int "fifo among ties" i (Pqueue.pop q)
   done
 
 let test_pqueue_empty () =
   let q : int Pqueue.t = Pqueue.create () in
   Alcotest.(check bool) "is_empty" true (Pqueue.is_empty q);
-  Alcotest.(check bool) "pop None" true (Pqueue.pop q = None);
-  Alcotest.(check bool) "peek None" true (Pqueue.peek_key q = None)
+  check Alcotest.int "min_time of empty" max_int (Pqueue.min_time q);
+  Alcotest.check_raises "pop raises" (Invalid_argument "Pqueue.pop: empty queue")
+    (fun () -> ignore (Pqueue.pop q : int));
+  Pqueue.push q 3 0 30;
+  check Alcotest.int "min_time" 3 (Pqueue.min_time q);
+  check Alcotest.int "pop" 30 (Pqueue.pop q);
+  check Alcotest.int "empty again" max_int (Pqueue.min_time q)
 
 let prop_pqueue_sorted =
   QCheck.Test.make ~name:"pqueue drains in key order" ~count:300
@@ -304,10 +345,12 @@ let prop_pqueue_sorted =
     (fun pairs ->
       let q = Pqueue.create () in
       List.iteri (fun i (p, _) -> Pqueue.push q p i i) pairs;
+      (* The value is the seq, so each pop yields its full key. *)
       let rec drain acc =
-        match Pqueue.pop q with
-        | Some (p, s, _) -> drain ((p, s) :: acc)
-        | None -> List.rev acc
+        if Pqueue.is_empty q then List.rev acc
+        else
+          let p = Pqueue.min_time q in
+          drain ((p, Pqueue.pop q) :: acc)
       in
       let keys = drain [] in
       let rec sorted = function
@@ -438,6 +481,7 @@ let suite =
     ("rng seed sensitivity", `Quick, test_rng_seed_sensitivity);
     ("rng split independent", `Quick, test_rng_split_independent);
     ("rng copy replays", `Quick, test_rng_copy_replays);
+    ("rng pinned streams", `Quick, test_rng_pinned_streams);
     ("rng int bounds", `Quick, test_rng_int_bounds);
     ("rng int_in bounds", `Quick, test_rng_int_in);
     ("rng float range", `Quick, test_rng_float_range);

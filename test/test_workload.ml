@@ -9,6 +9,11 @@ let check = Alcotest.check
 
 (* --- Ycsb ------------------------------------------------------------ *)
 
+let test_ycsb_key_format () =
+  List.iter
+    (fun i -> check Alcotest.string (string_of_int i) (Printf.sprintf "user%010d" i) (Ycsb.key i))
+    [ 0; 9; 10; 9_999_999_999; 10_000_000_000; -1 ]
+
 let test_ycsb_mixes () =
   let count wl =
     let g = Ycsb.gen wl (Rng.create 7) in
@@ -139,6 +144,7 @@ let test_runner_no_load () =
 
 let suite =
   [
+    ("ycsb key format", `Quick, test_ycsb_key_format);
     ("ycsb mixes", `Quick, test_ycsb_mixes);
     ("ycsb keys in range", `Quick, test_ycsb_keys_in_range);
     ("ycsb zipfian skew", `Quick, test_ycsb_skew);
