@@ -81,6 +81,10 @@ let sub t ~off ~len =
   }
 
 (* Reads: straight from the backing buffer, one bounds check each. *)
+let raw_pos t ~off ~len =
+  bounds t.size off len;
+  t.raw_off + off
+
 let get_u8 t o =
   bounds t.size o 1;
   Char.code (Bytes.unsafe_get t.raw (t.raw_off + o))

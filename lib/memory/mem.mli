@@ -45,6 +45,12 @@ val of_pmem : Dstore_pmem.Pmem.t -> off:int -> len:int -> t
 val get_u8 : t -> int -> int
 (** Bounds-checked reads at an arena offset. *)
 
+val raw_pos : t -> off:int -> len:int -> int
+(** [raw_pos t ~off ~len] is the index of arena byte [off] in [t.raw],
+    after checking that [\[off, off + len)] lies inside the arena (else
+    [Invalid_argument]). For structures that read a whole node or key
+    blob straight from [raw] after one check. *)
+
 val get_u16 : t -> int -> int
 
 val get_u32 : t -> int -> int

@@ -8,6 +8,7 @@ type t = {
   zetan : float;
   eta : float;
   zeta2 : float;
+  rank1_bound : float;  (* [1 + 0.5^theta]: [u * zetan] below it draws rank 1 *)
 }
 
 let zeta n theta =
@@ -41,13 +42,13 @@ let create ?(theta = 0.99) items =
     (1.0 -. Float.pow (2.0 /. float_of_int items) (1.0 -. theta))
     /. (1.0 -. (zeta2 /. zetan))
   in
-  { items; theta; alpha; zetan; eta; zeta2 }
+  { items; theta; alpha; zetan; eta; zeta2; rank1_bound = 1.0 +. Float.pow 0.5 theta }
 
 let draw t rng =
   let u = Rng.float rng in
   let uz = u *. t.zetan in
   if uz < 1.0 then 0
-  else if uz < 1.0 +. Float.pow 0.5 t.theta then 1
+  else if uz < t.rank1_bound then 1
   else
     let rank =
       float_of_int t.items

@@ -172,6 +172,43 @@ let test_zipf_scrambled_spreads () =
   Alcotest.(check bool) "two hottest keys not adjacent" true
     (abs (!hottest - !second) > 1)
 
+(* The first 64 scrambled draws at (10 000 items, theta 0.99), as the
+   generator produced them before [create] precomputed the rank-1 bound:
+   hoisting an expression out of [draw] must not move a single draw. *)
+let zipf_pinned =
+  [
+    ( 0,
+      [| 1914; 6368; 9298; 6777; 4594; 212; 8707; 8939; 3680; 5093; 4191; 9588;
+         7901; 6450; 9401; 2606; 3331; 2029; 4003; 9438; 3572; 4216; 5397; 5508;
+         983; 429; 3277; 7793; 7903; 8607; 6812; 8384; 9298; 9298; 5316; 3277;
+         7793; 8384; 1072; 535; 2606; 9298; 9298; 9298; 3775; 5230; 3680; 7068;
+         4728; 4594; 3893; 2018; 4594; 9298; 8801; 7016; 4003; 41; 2160; 297;
+         19; 9621; 3680; 8510 |] );
+    ( 1,
+      [| 8608; 2040; 5777; 658; 4003; 4274; 7605; 8707; 5831; 6193; 6073; 401;
+         1761; 4003; 8707; 2552; 9298; 8359; 2740; 2766; 8707; 2954; 7094; 7549;
+         9298; 2770; 7431; 4003; 1186; 9298; 8978; 347; 4917; 1986; 3868; 4811;
+         3223; 2954; 1226; 5831; 8707; 4594; 7741; 535; 8707; 3277; 9302; 4594;
+         9298; 3520; 4594; 1528; 4594; 4568; 4014; 6208; 7409; 2915; 1524; 3089;
+         9433; 2705; 3436; 4917 |] );
+    ( 42,
+      [| 4274; 8707; 8707; 9298; 1970; 8384; 3089; 8707; 3718; 3680; 8363; 203;
+         4537; 9298; 9298; 9334; 9298; 8384; 9298; 7872; 9621; 8384; 6450; 6691;
+         4728; 5766; 4594; 3516; 496; 9298; 9298; 1343; 4003; 7659; 2363; 9047;
+         9541; 6745; 347; 1240; 1746; 3540; 6422; 9758; 4003; 2688; 938; 7982;
+         6288; 3089; 7922; 9298; 5051; 5831; 4216; 6589; 1688; 9298; 3971; 9298;
+         2363; 5831; 3617; 9298 |] );
+  ]
+
+let test_zipf_pinned_draws () =
+  List.iter
+    (fun (seed, expect) ->
+      let z = Zipf.create ~theta:0.99 10_000 in
+      let r = Rng.create seed in
+      let got = Array.init (Array.length expect) (fun _ -> Zipf.draw_scrambled z r) in
+      check Alcotest.(array int) (Printf.sprintf "seed %d" seed) expect got)
+    zipf_pinned
+
 let test_zipf_uniform () =
   let r = Rng.create 29 in
   for _ = 1 to 1_000 do
@@ -493,6 +530,7 @@ let suite =
     ("zipf scrambled range", `Quick, test_zipf_scrambled_range);
     ("zipf scrambled spreads", `Quick, test_zipf_scrambled_spreads);
     ("zipf uniform", `Quick, test_zipf_uniform);
+    ("zipf pinned draws", `Quick, test_zipf_pinned_draws);
     ("hist empty", `Quick, test_hist_empty);
     ("hist single", `Quick, test_hist_single);
     ("hist exact low values", `Quick, test_hist_exact_low_values);
